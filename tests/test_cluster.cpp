@@ -1,9 +1,12 @@
 // Tests for the cluster subsystem: network-hop timing and attribution,
 // routing policies, deadline-class admission ordering under overload,
-// autoscaler hysteresis on a step load, multi-board service tables, and
-// byte-determinism of the full report across DFCNN_SWEEP_THREADS.
+// autoscaler hysteresis on a step load, multi-board service tables,
+// byte-determinism of the full report across DFCNN_SWEEP_THREADS, and a
+// golden grid of report hashes that pins the planner's output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "cluster/net_model.hpp"
 #include "cluster/service_table.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/presets.hpp"
 #include "serve/load_generator.hpp"
 
@@ -384,6 +388,158 @@ TEST(ClusterDeterminismTest, ReportBytesIdenticalAcrossSweepThreads) {
   }
   EXPECT_EQ(csv1, csv4);
   EXPECT_EQ(json1, json4);
+}
+
+// --- golden grid ---------------------------------------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes, std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Bursty arrivals for a `nodes`-node fleet at ~1.3x its starting capacity:
+/// integer-only (1/1024-cycle fixed point), so the load is the same on every
+/// platform; one request in 64 opens a 16-request same-cycle burst.
+std::vector<dfc::serve::Request> golden_requests(std::size_t nodes) {
+  const std::size_t n = std::min<std::size_t>(400 * nodes, 4'000);
+  const std::uint64_t mean_gap_fp = 1024 * 82 / nodes;
+  Rng rng(1'234 + nodes);
+  std::vector<dfc::serve::Request> out(n);
+  std::uint64_t clock_fp = 0;
+  std::size_t burst_left = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (burst_left > 0) {
+      --burst_left;
+    } else {
+      clock_fp += rng.next_below(2 * mean_gap_fp + 1);
+      if (rng.next_below(64) == 0) burst_left = 15;
+    }
+    out[i].id = i;
+    out[i].arrival_cycle = clock_fp >> 10;
+  }
+  return out;
+}
+
+/// A mixed fleet: every third node serves from 2-board replicas (a flatter,
+/// slower table), replica counts alternate 2/1, weights cycle 1..3, and the
+/// queues are shallow enough that bursts overflow them.
+ClusterConfig golden_config(std::size_t nodes, RoutePolicy policy, bool autoscale,
+                            std::size_t class_count) {
+  ClusterConfig config;
+  for (std::size_t i = 0; i < nodes; ++i) {
+    NodeConfig nc;
+    nc.boards = i % 3 == 2 ? 2 : 1;
+    nc.replicas = i % 2 == 0 ? 2 : 1;
+    nc.queue_capacity = 6;
+    nc.weight = static_cast<std::uint32_t>(1 + i % 3);
+    config.nodes.push_back(nc);
+  }
+  config.policy = policy;
+  config.batcher.max_batch_size = 4;
+  config.batcher.max_wait_cycles = 600;
+  config.request_words = 2;
+  config.response_words = 2;
+  config.autoscaler.enabled = autoscale;
+  config.autoscaler.max_replicas = 4;
+  config.autoscaler.scale_up_depth = 2.0;
+  config.autoscaler.scale_down_depth = 0.5;
+  config.autoscaler.eval_interval_cycles = 500;
+  config.autoscaler.warmup_cycles = 1'500;
+  config.autoscaler.cooldown_cycles = 1'000;
+  if (class_count == 3) {
+    config.classes = {{"tight", 1'500, 3}, {"standard", 2'500, 5}, {"batch", 0, 2}};
+  }
+  return config;
+}
+
+std::vector<std::vector<std::uint64_t>> golden_tables(const ClusterConfig& config) {
+  const std::vector<std::uint64_t> one_board = {400, 550, 700, 850};
+  const std::vector<std::uint64_t> two_board = {700, 800, 900, 1'000};
+  std::vector<std::vector<std::uint64_t>> tables;
+  for (const NodeConfig& nc : config.nodes) {
+    tables.push_back(nc.boards == 2 ? two_board : one_board);
+  }
+  return tables;
+}
+
+// Pins every byte the planner produces across policies x autoscaler x
+// deadline classes x fleet size. The hashes were captured from the original
+// scan-every-node event loop; any rewrite of the loop must reproduce them.
+TEST(ClusterGoldenTest, ReportHashesPinnedAcrossPolicyAutoscalerClassesAndFleetSize) {
+  struct Golden {
+    RoutePolicy policy;
+    bool autoscale;
+    std::size_t classes;
+    std::size_t nodes;
+    std::uint64_t hash;
+  };
+  const std::vector<Golden> grid = {
+      {RoutePolicy::kRoundRobin, false, 1, 1, 0x30b5590295e004deULL},
+      {RoutePolicy::kRoundRobin, false, 1, 5, 0xa76f685ffac0c7fdULL},
+      {RoutePolicy::kRoundRobin, false, 1, 300, 0x21cc4013a3fa4051ULL},
+      {RoutePolicy::kRoundRobin, false, 3, 1, 0xa5fcc7f1ef62e4d0ULL},
+      {RoutePolicy::kRoundRobin, false, 3, 5, 0x7805e9a16c07fcfeULL},
+      {RoutePolicy::kRoundRobin, false, 3, 300, 0x2cb0934644f63772ULL},
+      {RoutePolicy::kRoundRobin, true, 1, 1, 0x44fe1025c99cd557ULL},
+      {RoutePolicy::kRoundRobin, true, 1, 5, 0xac635d740492d84fULL},
+      {RoutePolicy::kRoundRobin, true, 1, 300, 0x740a58f10fafa04aULL},
+      {RoutePolicy::kRoundRobin, true, 3, 1, 0xc09fb79cfa4b5264ULL},
+      {RoutePolicy::kRoundRobin, true, 3, 5, 0xa15258e3b70fd953ULL},
+      {RoutePolicy::kRoundRobin, true, 3, 300, 0xa5460df8c4f622acULL},
+      {RoutePolicy::kLeastLoaded, false, 1, 1, 0x5b5d97b3e20c92c4ULL},
+      {RoutePolicy::kLeastLoaded, false, 1, 5, 0xdb0f3fc9ad6390e4ULL},
+      {RoutePolicy::kLeastLoaded, false, 1, 300, 0x0bbbf0a9d1ddbb61ULL},
+      {RoutePolicy::kLeastLoaded, false, 3, 1, 0xdaa22b1d74498498ULL},
+      {RoutePolicy::kLeastLoaded, false, 3, 5, 0x9cb152762190775cULL},
+      {RoutePolicy::kLeastLoaded, false, 3, 300, 0x299787f3f3061be3ULL},
+      {RoutePolicy::kLeastLoaded, true, 1, 1, 0x6d15c8e8aa327e27ULL},
+      {RoutePolicy::kLeastLoaded, true, 1, 5, 0x17b9de4141665675ULL},
+      {RoutePolicy::kLeastLoaded, true, 1, 300, 0xe828b39e7117cdb4ULL},
+      {RoutePolicy::kLeastLoaded, true, 3, 1, 0xfb48340a1ca3b696ULL},
+      {RoutePolicy::kLeastLoaded, true, 3, 5, 0xc8440a399add9c2aULL},
+      {RoutePolicy::kLeastLoaded, true, 3, 300, 0x3fc1f069caf8496dULL},
+      {RoutePolicy::kWeighted, false, 1, 1, 0xbccce3cbaa21c838ULL},
+      {RoutePolicy::kWeighted, false, 1, 5, 0xab12416b511be02cULL},
+      {RoutePolicy::kWeighted, false, 1, 300, 0x56bc34c2c73203f0ULL},
+      {RoutePolicy::kWeighted, false, 3, 1, 0x1d150b1ed6d16b00ULL},
+      {RoutePolicy::kWeighted, false, 3, 5, 0xecc80fd5efb7b8b4ULL},
+      {RoutePolicy::kWeighted, false, 3, 300, 0x07fb968ce2aed4c1ULL},
+      {RoutePolicy::kWeighted, true, 1, 1, 0x7c2bfffdce0ddc67ULL},
+      {RoutePolicy::kWeighted, true, 1, 5, 0x346609cb5ed853a0ULL},
+      {RoutePolicy::kWeighted, true, 1, 300, 0x2c4755a264c51e31ULL},
+      {RoutePolicy::kWeighted, true, 3, 1, 0x34a99f37bb40c14aULL},
+      {RoutePolicy::kWeighted, true, 3, 5, 0xbe1ec6285a3a5174ULL},
+      {RoutePolicy::kWeighted, true, 3, 300, 0x650db74bdb14b3fbULL},
+  };
+  bool overflowed = false;
+  bool deadline_shed = false;
+  bool scaled = false;
+  for (const Golden& g : grid) {
+    const auto requests = golden_requests(g.nodes);
+    const ClusterConfig config = golden_config(g.nodes, g.policy, g.autoscale, g.classes);
+    const auto class_of = assign_classes(requests.size(), config.classes, config.class_seed);
+    const ClusterReport report = plan_cluster(requests, class_of, config, golden_tables(config));
+    std::uint64_t hash = fnv1a(report.csv());
+    hash = fnv1a(report.stats.to_json(), hash);
+    for (const ScaleEvent& ev : report.scale_events) {
+      hash = fnv1a(std::to_string(ev.cycle) + ":" + std::to_string(ev.node) + ":" +
+                       std::to_string(ev.delta) + ":" + std::to_string(ev.replicas_after) + ";",
+                   hash);
+    }
+    EXPECT_EQ(hash, g.hash) << route_policy_name(g.policy) << " autoscale=" << g.autoscale
+                            << " classes=" << g.classes << " nodes=" << g.nodes << " actual 0x"
+                            << std::hex << hash;
+    overflowed = overflowed || report.stats.shed_overflow > 0;
+    deadline_shed = deadline_shed || report.stats.shed_deadline > 0;
+    scaled = scaled || !report.scale_events.empty();
+  }
+  // The grid must reach every admission and autoscaler path it pins.
+  EXPECT_TRUE(overflowed);
+  EXPECT_TRUE(deadline_shed);
+  EXPECT_TRUE(scaled);
 }
 
 }  // namespace
