@@ -14,6 +14,11 @@
 //   * interactive p99 stays below the 250 us SLO at light load and the
 //     tightest class sheds first at overload;
 //   * the whole grid is deterministic (two runs byte-agree), gating CI.
+//
+// A node sweep then plans the same fleet at 4, 64, 256 and 1024 nodes with
+// the same per-node offered rate and reports planner host cost per planned
+// request and per request x node: the event loop only visits nodes with a
+// due event, so cost per request stays roughly flat as the fleet grows.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,7 +43,7 @@ namespace {
 dfc::cluster::ClusterConfig fleet_config(dfc::cluster::RoutePolicy policy,
                                          const std::vector<std::uint64_t>& table1,
                                          const std::vector<std::uint64_t>& table2,
-                                         std::size_t max_batch) {
+                                         std::size_t max_batch, std::size_t nodes = 4) {
   using namespace dfc;
   cluster::ClusterConfig config;
   config.policy = policy;
@@ -47,7 +52,7 @@ dfc::cluster::ClusterConfig fleet_config(dfc::cluster::RoutePolicy policy,
   config.classes = cluster::default_deadline_classes();
   config.autoscaler.enabled = true;
   config.autoscaler.max_replicas = 4;
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < nodes; ++i) {
     cluster::NodeConfig node;
     node.boards = i == 0 ? 2 : 1;
     const auto& table = node.boards == 2 ? table2 : table1;
@@ -141,6 +146,57 @@ int main() {
     deterministic = points[i].stats.to_json() == points_again[i].stats.to_json();
   }
 
+  // Node sweep: the same fleet at growing size under least-loaded routing,
+  // each node offered 80% of a 4-node fleet node's share of capacity. Each
+  // size is planned twice: the faster run is the timing, and the two
+  // reports must agree byte for byte.
+  struct SweepPoint {
+    std::size_t nodes = 0;
+    std::size_t requests = 0;
+    double plan_ms = 0.0;
+    double us_per_req = 0.0;
+    double ns_per_req_node = 0.0;
+    bool identical = false;
+  };
+  std::vector<SweepPoint> sweep;
+  for (const std::size_t nodes : {4, 64, 256, 1024}) {
+    SweepPoint pt;
+    pt.nodes = nodes;
+    pt.requests = std::max<std::size_t>(32'000, 250 * nodes);
+    serve::LoadSpec load_spec;
+    load_spec.arrivals = serve::ArrivalProcess::kDiurnal;
+    load_spec.rate_images_per_second = 0.8 * capacity_rps / 4.0 * static_cast<double>(nodes);
+    load_spec.request_count = pt.requests;
+    load_spec.seed = 7;
+    const serve::Load load = serve::generate_load(spec, load_spec);
+    const cluster::ClusterConfig config =
+        fleet_config(cluster::RoutePolicy::kLeastLoaded, table1, table2, kMaxBatch, nodes);
+    std::vector<std::vector<std::uint64_t>> tables;
+    for (const cluster::NodeConfig& node : config.nodes) {
+      tables.push_back(node.boards == 2 ? table2 : table1);
+    }
+    const auto class_of =
+        cluster::assign_classes(load.requests.size(), config.classes, config.class_seed);
+    std::string first;
+    for (int run = 0; run < 2; ++run) {
+      const auto s0 = std::chrono::steady_clock::now();
+      const auto report = cluster::plan_cluster(load.requests, class_of, config, tables);
+      const auto s1 = std::chrono::steady_clock::now();
+      const double ms = std::chrono::duration<double, std::milli>(s1 - s0).count();
+      pt.plan_ms = run == 0 ? ms : std::min(pt.plan_ms, ms);
+      std::string bytes = report.csv() + report.stats.to_json();
+      if (run == 0) {
+        first = std::move(bytes);
+      } else {
+        pt.identical = bytes == first;
+      }
+    }
+    pt.us_per_req = pt.plan_ms * 1e3 / static_cast<double>(pt.requests);
+    pt.ns_per_req_node = pt.us_per_req * 1e3 / static_cast<double>(pt.nodes);
+    deterministic = deterministic && pt.identical;
+    sweep.push_back(pt);
+  }
+
   auto us = [](std::uint64_t cycles) { return core::cycles_to_us(static_cast<double>(cycles)); };
   AsciiTable t({"policy", "rate x cap", "offered Mreq/s", "sustained Mreq/s", "shed dl",
                 "shed ovf", "scale evts", "inter p99 us", "p999 us"});
@@ -162,6 +218,16 @@ int main() {
   }
   csv.flush();
   std::printf("%s\n", t.render().c_str());
+
+  AsciiTable sweep_table({"nodes", "requests", "plan ms", "us / req", "ns / req x node",
+                          "2 runs identical"});
+  for (const SweepPoint& pt : sweep) {
+    sweep_table.add_row({std::to_string(pt.nodes), std::to_string(pt.requests),
+                         fmt_fixed(pt.plan_ms, 1), fmt_fixed(pt.us_per_req, 3),
+                         fmt_fixed(pt.ns_per_req_node, 2), pt.identical ? "yes" : "NO"});
+  }
+  std::printf("Node sweep (least-loaded, same per-node rate, planner host time):\n%s\n",
+              sweep_table.render().c_str());
 
   auto stats_of = [&](const char* policy, double mult) -> const cluster::ClusterStats& {
     for (const Point& pt : points) {
@@ -196,7 +262,21 @@ int main() {
               static_cast<unsigned long long>(ll_over.classes[2].shed_deadline));
   std::printf("  least-loaded sustains >= 95%% of round-robin at overload: %s (%.2f vs %.2f Mreq/s)\n",
               ll_holds ? "yes" : "NO", ll_over.sustained_rps / 1e6, rr_over.sustained_rps / 1e6);
-  std::printf("  grid deterministic across two runs: %s\n", deterministic ? "yes" : "NO");
+  std::printf("  cost per planned request, 1024 vs 4 nodes: %.2fx\n",
+              sweep.back().us_per_req / sweep.front().us_per_req);
+  std::printf("  grid and node sweep deterministic across two runs: %s\n",
+              deterministic ? "yes" : "NO");
+
+  std::string sweep_json;
+  for (const SweepPoint& pt : sweep) {
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "    {\"nodes\": %zu, \"requests\": %zu, \"us_per_req\": %.4f, "
+                  "\"ns_per_req_node\": %.4f, \"identical\": %s}",
+                  pt.nodes, pt.requests, pt.us_per_req, pt.ns_per_req_node,
+                  pt.identical ? "true" : "false");
+    sweep_json += std::string(sweep_json.empty() ? "" : ",\n") + row;
+  }
 
   const bool ok = saturates && slo_light && tight_first && deterministic;
   if (std::FILE* json = std::fopen("BENCH_cluster.json", "w")) {
@@ -210,13 +290,14 @@ int main() {
                  "  \"shed_deadline_ll_overload\": %llu,\n"
                  "  \"interactive_p99_us_light\": %.2f,\n"
                  "  \"table_measure_wall_ms\": %.1f,\n"
+                 "  \"node_sweep\": [\n%s\n  ],\n"
                  "  \"deterministic\": %s\n}\n",
                  spec.name.c_str(), kMaxBatch,
                  static_cast<unsigned long long>(table1[kMaxBatch - 1]),
                  static_cast<unsigned long long>(table2[kMaxBatch - 1]), capacity_rps,
                  ll_over.sustained_rps, rr_over.sustained_rps,
                  static_cast<unsigned long long>(ll_over.shed_deadline),
-                 us(ll_light.classes[0].p99_latency_cycles), measure_ms,
+                 us(ll_light.classes[0].p99_latency_cycles), measure_ms, sweep_json.c_str(),
                  deterministic ? "true" : "false");
     std::fclose(json);
   } else {

@@ -111,6 +111,64 @@ class SmoothWrr {
   std::int64_t total_ = 0;
 };
 
+/// Tournament tree over a fixed set of slots: each internal node holds the
+/// slot winning its subtree (smallest key, ties to the lowest index), so an
+/// update costs O(log n), the overall winner is O(1), and every slot with a
+/// key at most some bound is enumerated in ascending index order by pruning
+/// subtrees whose winner exceeds the bound.
+template <typename Key>
+class MinTree {
+ public:
+  explicit MinTree(std::size_t n) : keys_(n) {
+    while (leaves_ < n) leaves_ *= 2;
+    winner_.assign(2 * leaves_, kNone);
+    for (std::size_t i = 0; i < n; ++i) winner_[leaves_ + i] = i;
+    for (std::size_t p = leaves_; p-- > 1;) winner_[p] = pick(winner_[2 * p], winner_[2 * p + 1]);
+  }
+
+  const Key& key(std::size_t i) const { return keys_[i]; }
+  std::size_t top() const { return winner_[1]; }
+
+  void set(std::size_t i, Key key) {
+    keys_[i] = key;
+    for (std::size_t p = (leaves_ + i) / 2; p >= 1; p /= 2) {
+      winner_[p] = pick(winner_[2 * p], winner_[2 * p + 1]);
+    }
+  }
+
+  /// Calls fn(i) for every slot with key(i) <= bound, lowest index first.
+  template <typename Fn>
+  void for_each_at_most(const Key& bound, Fn&& fn) const {
+    visit(1, bound, fn);
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  // `a` always comes from the left (lower-index) subtree, so it wins ties.
+  std::size_t pick(std::size_t a, std::size_t b) const {
+    if (a == kNone) return b;
+    if (b == kNone) return a;
+    return keys_[b] < keys_[a] ? b : a;
+  }
+
+  template <typename Fn>
+  void visit(std::size_t p, const Key& bound, Fn& fn) const {
+    const std::size_t w = winner_[p];
+    if (w == kNone || bound < keys_[w]) return;
+    if (p >= leaves_) {
+      fn(w);
+      return;
+    }
+    visit(2 * p, bound, fn);
+    visit(2 * p + 1, bound, fn);
+  }
+
+  std::vector<Key> keys_;
+  std::size_t leaves_ = 1;
+  std::vector<std::size_t> winner_;  ///< heap-ordered, root at 1, leaves at [leaves_, 2 leaves_)
+};
+
 }  // namespace
 
 const char* route_policy_name(RoutePolicy p) {
@@ -244,6 +302,19 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
     report.outcomes[r.id].arrival_cycle = r.arrival_cycle;
   }
 
+  // Least-loaded index: queue depth plus wire/service in-flight = everything
+  // already committed to the node, read through the gauges, not the planner
+  // state, so any external controller sees the same signal. Every planner
+  // write to a node's depth or in-flight gauge is followed by refresh_load,
+  // so the tree's winner is exactly the lowest-index minimum of the gauges.
+  const bool track_load = config.policy == RoutePolicy::kLeastLoaded;
+  MinTree<double> load(nodes.size());
+  auto refresh_load = [&](std::size_t node) {
+    if (!track_load) return;
+    load.set(node, nodes[node].depth_gauge->value() + nodes[node].inflight_gauge->value());
+  };
+  for (std::size_t i = 0; i < nodes.size(); ++i) refresh_load(i);
+
   std::size_t rr_next = 0;
   SmoothWrr wrr(config.nodes);
   auto route = [&]() -> std::size_t {
@@ -253,22 +324,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
         rr_next = (rr_next + 1) % nodes.size();
         return n;
       }
-      case RoutePolicy::kLeastLoaded: {
-        // Queue depth plus wire/service in-flight = everything already
-        // committed to the node; read through the gauges, not the planner
-        // state, so any external controller sees the same signal.
-        std::size_t best = 0;
-        double best_score = 0.0;
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          const double score =
-              nodes[i].depth_gauge->value() + nodes[i].inflight_gauge->value();
-          if (i == 0 || score < best_score) {
-            best = i;
-            best_score = score;
-          }
-        }
-        return best;
-      }
+      case RoutePolicy::kLeastLoaded: return load.top();
       case RoutePolicy::kWeighted: return wrr.pick();
     }
     return 0;
@@ -276,6 +332,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
 
   std::size_t batch_counter = 0;
   std::size_t next_arrival = 0;
+  std::size_t in_system = 0;  ///< routed, not yet completed or shed
   std::uint64_t now = first_arrival;
   std::uint64_t last_response = first_arrival;
 
@@ -291,6 +348,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
         last_response = std::max(last_response, o.response_cycle);
         ++ns.completed;
       }
+      in_system -= slot.riders.size();
       ns.inflight_gauge->add(-static_cast<double>(slot.riders.size()));
       slot.riders.clear();
       slot.batch = kNoBatch;
@@ -367,6 +425,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
         ++ns.shed_overflow;
         ns.shed_counter->inc();
         ns.inflight_gauge->add(-1.0);
+        --in_system;
         continue;
       }
       const DeadlineClass& cls = classes[o.deadline_class];
@@ -392,6 +451,7 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
           ++ns.shed_deadline;
           ns.shed_counter->inc();
           ns.inflight_gauge->add(-1.0);
+          --in_system;
           continue;
         }
       }
@@ -439,57 +499,74 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
     }
   };
 
-  auto work_pending = [&] {
-    if (next_arrival < requests.size()) return true;
-    for (const NodeState& ns : nodes) {
-      if (!ns.wire.empty() || !ns.queue.empty()) return true;
-      for (const ReplicaSlot& slot : ns.replicas) {
-        if (slot.batch != kNoBatch) return true;
-      }
+  // A node's next event: the earliest cycle at which one of phases 1, 2, 4
+  // or 5 would change it. Until then all four are no-ops on the node.
+  auto next_event = [&](const NodeState& ns) {
+    std::uint64_t t = ns.next_eval;  // kNever while the autoscaler is off
+    if (!ns.wire.empty()) t = std::min(t, ns.wire.front().cycle);
+    bool has_free_active = false;
+    for (const ReplicaSlot& slot : ns.replicas) {
+      if (slot.batch != kNoBatch) t = std::min(t, slot.busy_until);
+      if (slot.state == ReplicaState::kWarming) t = std::min(t, slot.ready_at);
+      if (slot.state == ReplicaState::kActive && slot.batch == kNoBatch) has_free_active = true;
     }
-    return false;
+    if (!ns.queue.empty() && has_free_active) {
+      t = std::min(t, batcher.close_deadline(ns.queue.front().queued_at));
+    }
+    return t;
   };
+  MinTree<std::uint64_t> events(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) events.set(i, next_event(nodes[i]));
 
-  while (work_pending()) {
-    std::uint64_t t = kNever;
+  std::vector<std::size_t> due;
+  while (next_arrival < requests.size() || in_system > 0) {
+    std::uint64_t t = events.key(events.top());
     if (next_arrival < requests.size()) t = std::min(t, requests[next_arrival].arrival_cycle);
-    for (const NodeState& ns : nodes) {
-      if (!ns.wire.empty()) t = std::min(t, ns.wire.front().cycle);
-      bool has_free_active = false;
-      for (const ReplicaSlot& slot : ns.replicas) {
-        if (slot.batch != kNoBatch) t = std::min(t, slot.busy_until);
-        if (slot.state == ReplicaState::kWarming) t = std::min(t, slot.ready_at);
-        if (slot.state == ReplicaState::kActive && slot.batch == kNoBatch) {
-          has_free_active = true;
-        }
-      }
-      if (!ns.queue.empty() && has_free_active) {
-        t = std::min(t, batcher.close_deadline(ns.queue.front().queued_at));
-      }
-      if (config.autoscaler.enabled) t = std::min(t, ns.next_eval);
-    }
     DFC_CHECK(t != kNever && t >= now, "cluster event loop lost its next event");
     now = t;
+    due.clear();
+    events.for_each_at_most(now, [&](std::size_t i) { due.push_back(i); });
 
     // Fixed per-cycle order (see the header comment): completions free
     // replicas and retire drains, the autoscaler sees post-completion state,
     // arrivals route on this cycle's gauges, deliveries run admission, and
-    // dispatch fills whatever capacity remains.
-    for (NodeState& ns : nodes) finalize_completions(ns);
-    for (std::size_t i = 0; i < nodes.size(); ++i) autoscale(i);
+    // dispatch fills whatever capacity remains. Phases 1, 2, 4 and 5 visit
+    // only the due nodes, in ascending index order — on every other node
+    // they are no-ops (DESIGN.md §14).
+    for (const std::size_t i : due) {
+      finalize_completions(nodes[i]);
+      refresh_load(i);
+    }
+    for (const std::size_t i : due) autoscale(i);
     while (next_arrival < requests.size() && requests[next_arrival].arrival_cycle == now) {
       const dfc::serve::Request& r = requests[next_arrival];
       const std::size_t node = route();
       NodeState& ns = nodes[node];
       report.outcomes[r.id].node = node;
       ++ns.routed;
+      ++in_system;
       ns.routed_counter->inc();
       ns.inflight_gauge->add(1.0);
-      ns.wire.push_back(WireDelivery{ns.in.transfer(now, config.request_words), r.id});
+      refresh_load(node);
+      const std::uint64_t delivery = ns.in.transfer(now, config.request_words);
+      ns.wire.push_back(WireDelivery{delivery, r.id});
+      if (delivery < events.key(node)) events.set(node, delivery);
       ++next_arrival;
     }
-    for (std::size_t i = 0; i < nodes.size(); ++i) deliver_due(i);
-    for (std::size_t i = 0; i < nodes.size(); ++i) dispatch_ready(i);
+    for (const std::size_t i : due) deliver_due(i);
+    for (const std::size_t i : due) {
+      dispatch_ready(i);
+      events.set(i, next_event(nodes[i]));
+      refresh_load(i);
+    }
+  }
+  DFC_CHECK(in_system == 0, "cluster event loop exited with requests in the system");
+  for (const NodeState& ns : nodes) {
+    DFC_CHECK(ns.wire.empty() && ns.queue.empty(),
+              "cluster event loop exited with requests on a wire or in a queue");
+    for (const ReplicaSlot& slot : ns.replicas) {
+      DFC_CHECK(slot.batch == kNoBatch, "cluster event loop exited with a batch in flight");
+    }
   }
 
   // ---- Scorecard -----------------------------------------------------------

@@ -26,13 +26,18 @@
 //      index first (serve's rule).
 // Ingress/egress latency >= 1 guarantees a delivery never lands in the
 // cycle it was sent, the same argument that makes the lockstep multi-board
-// executor order-independent (DESIGN.md §11).
+// executor order-independent (DESIGN.md §11). Phases 1, 2, 4 and 5 visit
+// only the nodes whose next event is due, in node index order; on the
+// others they are no-ops, so an event costs O(log nodes) plus the nodes it
+// touches (DESIGN.md §14).
 //
 // Load balancing policies are deterministic:
 //   * round-robin   — requests cycle through nodes in index order;
-//   * least-loaded  — reads each node's queue-depth + in-flight gauges from
-//     the common/metrics registry (the same gauges the autoscaler watches);
-//     ties break on the lowest node index;
+//   * least-loaded  — picks the node with the smallest queue-depth +
+//     in-flight gauge sum from the common/metrics registry (the same gauges
+//     the autoscaler watches); ties break on the lowest node index. A
+//     tournament tree over nodes mirrors that sum and is refreshed after
+//     every planner write to a node's gauges, so a pick costs O(1);
 //   * weighted      — smooth weighted round-robin over NodeConfig::weight
 //     (each pick: add weights, take the largest current value, subtract the
 //     total), which interleaves maximally and is deterministic.

@@ -76,11 +76,22 @@
 // <design> is a preset name (usps | cifar | alexnet) or a .dfcnn file saved
 // by `export` / core::save_spec_file. <device> is one of
 // virtex7-485t (default) | virtex7-330t | kintex7-325t.
+//
+// Exit codes: 0 success, 1 a library error (bad design, failed check), 2 a
+// usage error (unknown command, or a `cluster` numeric flag that is not a
+// non-negative number).
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -354,6 +365,39 @@ serve::ArrivalProcess parse_shape(const std::string& name) {
   if (name == "diurnal") return serve::ArrivalProcess::kDiurnal;
   if (name == "bursty") return serve::ArrivalProcess::kBursty;
   throw ConfigError("unknown arrival shape '" + name + "'");
+}
+
+/// A numeric flag whose value is not a non-negative number: a usage error
+/// (exit 2), kept apart from dfc::Error so it never reads as a sim failure.
+struct BadFlagValue : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses the value of `flag`: the whole string must be a non-negative
+/// decimal integer (integral T) or a finite non-negative number (floating T).
+template <typename T>
+T parse_flag_value(const char* flag, const char* text) {
+  auto bad = [&] {
+    const char* what = std::is_integral_v<T> ? "a non-negative integer" : "a non-negative number";
+    return BadFlagValue(std::string(flag) + " expects " + what + ", got '" + text + "'");
+  };
+  // A leading digit rules out signs, whitespace, "inf" and "nan" up front.
+  if (text[0] < '0' || text[0] > '9') throw bad();
+  char* end = nullptr;
+  errno = 0;
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+      throw bad();
+    }
+    value = static_cast<T>(v);
+  } else {
+    value = static_cast<T>(std::strtod(text, &end));
+    if (errno == ERANGE || !std::isfinite(value)) throw bad();
+  }
+  if (*end != '\0') throw bad();
+  return value;
 }
 
 cluster::RoutePolicy parse_policy(const std::string& name) {
@@ -642,17 +686,17 @@ int main(int argc, char** argv) {
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-          nodes = std::stoul(argv[++i]);
+          nodes = parse_flag_value<std::size_t>("--nodes", argv[++i]);
         } else if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
           policy = argv[++i];
         } else if (std::strcmp(argv[i], "--shape") == 0 && i + 1 < argc) {
           shape_list = argv[++i];
         } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-          requests = std::stoul(argv[++i]);
+          requests = parse_flag_value<std::size_t>("--requests", argv[++i]);
         } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-          rate = std::stod(argv[++i]);
+          rate = parse_flag_value<double>("--rate", argv[++i]);
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          seed = std::stoull(argv[++i]);
+          seed = parse_flag_value<std::uint64_t>("--seed", argv[++i]);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else {
@@ -759,6 +803,9 @@ int main(int argc, char** argv) {
       std::printf("saved %s design to %s\n", design.c_str(), argv[3]);
       return 0;
     }
+  } catch (const BadFlagValue& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const dfc::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
