@@ -13,7 +13,7 @@
 //  3. Executed bandwidth frontier: the true multi-context executor (one
 //     SimContext per board, credit-based serial links) runs USPS on two
 //     devices across link rates, measuring the throughput/latency frontier
-//     against estimate_multi_timing and checking logits stay byte-identical
+//     against dse::estimate_timing and checking logits stay byte-identical
 //     to the single-device engine (USPS and CIFAR, 2 boards each).
 //
 // BENCH_multifpga.json captures the machine-readable numbers CI gates on;
@@ -62,7 +62,7 @@ ExecPoint run_exec_point(const dfc::core::NetworkSpec& spec,
   ExecPoint pt;
   pt.cycles_per_word = cpw;
   pt.predicted_interval =
-      dfc::mfpga::estimate_multi_timing(spec, map, link).interval_cycles;
+      dfc::dse::estimate_timing(spec, map, {link, 0}).interval_cycles;
 
   dfc::core::BuildOptions opts;
   opts.link = link;

@@ -444,8 +444,10 @@ ClusterReport plan_cluster(const std::vector<dfc::serve::Request>& requests,
         const double est_completion =
             static_cast<double>(now) + backlog / static_cast<double>(active) +
             static_cast<double>(table[0]) +
-            static_cast<double>(config.response_words * ns.out.model().effective_cycles_per_word() +
-                                static_cast<std::uint64_t>(ns.out.model().link.link.latency_cycles));
+            static_cast<double>(
+                config.response_words *
+                    static_cast<std::uint64_t>(ns.out.model().link.effective_cycles_per_word()) +
+                static_cast<std::uint64_t>(ns.out.model().link.link.latency_cycles));
         if (est_completion > static_cast<double>(o.arrival_cycle + cls.deadline_cycles)) {
           o.shed = ClusterOutcome::Shed::kDeadline;
           ++ns.shed_deadline;

@@ -15,8 +15,8 @@ std::uint64_t NetHop::transfer(std::uint64_t ready, std::uint64_t words) {
   DFC_REQUIRE(ready >= last_ready_, "network transfers must be scheduled in time order");
   last_ready_ = ready;
 
-  const std::uint64_t cpw = model_.cycles_per_word();
-  const std::uint64_t eff = model_.effective_cycles_per_word();
+  const auto cpw = static_cast<std::uint64_t>(model_.link.link.cycles_per_word);
+  const auto eff = static_cast<std::uint64_t>(model_.link.effective_cycles_per_word());
   const std::uint64_t start = std::max(ready, busy_until_);
   // The first word of a transfer always moves at the raw serializer rate
   // (credits regenerate while the hop sits idle); sustained back-to-back

@@ -3,12 +3,13 @@
 // The cluster front end does not run flit-level InterLinkWire objects per
 // request — at millions of requests per second that would itself become the
 // simulation bottleneck — but every hop is priced with the SAME timing law
-// the flit-level interlink obeys (core/interlink, mirrored analytically by
-// mfpga::estimate_multi_timing):
+// the flit-level interlink obeys (core/interlink; dse::estimate_timing prices
+// board crossings with the same law):
 //
 //   * serialization: one word per link.cycles_per_word cycles;
 //   * credit flow control: at most `credits` unacknowledged words, so the
 //     sustained rate degrades to one word per
+//     InterLinkModel::effective_cycles_per_word() =
 //     max(cycles_per_word, ceil(2*latency/credits)) cycles — exactly the
 //     credit law the wire-level executor measures (DESIGN.md §11);
 //   * traversal: latency_cycles of flight after serialization completes.
@@ -29,7 +30,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/math_util.hpp"
 #include "core/interlink.hpp"
 #include "obs/activity.hpp"
 
@@ -40,21 +40,6 @@ namespace dfc::cluster {
 /// the credit window mean the same thing they mean for inter-board links.
 struct HopModel {
   dfc::core::InterLinkModel link{};
-
-  std::uint64_t cycles_per_word() const {
-    return static_cast<std::uint64_t>(link.link.cycles_per_word);
-  }
-
-  /// Sustained serialization cost per word under credit flow control:
-  /// max(cycles_per_word, ceil(2*latency/credits)) — estimate_multi_timing's
-  /// credit law. With auto-sized credits (0) the window never throttles and
-  /// this equals cycles_per_word.
-  std::uint64_t effective_cycles_per_word() const {
-    const auto round_trip = static_cast<std::int64_t>(2 * link.link.latency_cycles);
-    return std::max<std::uint64_t>(
-        cycles_per_word(),
-        static_cast<std::uint64_t>(dfc::ceil_div(round_trip, link.effective_credits())));
-  }
 
   void validate() const { link.validate(); }
 };

@@ -3,7 +3,6 @@
 #include "axis/flit.hpp"
 #include "sst/filter_chain.hpp"
 #include "sst/port_adapters.hpp"
-#include "core/preflight.hpp"
 #include "sst/window_buffer.hpp"
 #include "verify/diagnostics.hpp"
 
@@ -211,13 +210,9 @@ SegmentStreams append_layer_segment(SimContext& ctx, const NetworkSpec& spec,
 }
 
 Accelerator build_accelerator(const NetworkSpec& spec, const BuildOptions& options) {
-  run_preflight(spec, options);  // full static analysis first when opted in
   spec.validate();
-  if (!options.layer_device.empty() && options.layer_device.size() != spec.layers.size()) {
-    throw verify::VerifyError({verify::Code::DF403, "partition",
-                               "layer_device has " + std::to_string(options.layer_device.size()) +
-                                   " entries for " + std::to_string(spec.layers.size()) +
-                                   " layer(s)"});
+  if (!options.layer_device.empty()) {
+    verify::throw_if_any(check_partition(spec, options.layer_device, /*require_monotone=*/false));
   }
 
   Accelerator acc;

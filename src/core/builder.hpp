@@ -50,12 +50,6 @@ struct BuildOptions {
   /// The built design is identical either way; this only chooses how batches
   /// are executed (see ExecutionMode).
   ExecutionMode execution_mode = ExecutionMode::kCycleAccurate;
-
-  /// Run the full static verifier (src/verify, if linked) before building:
-  /// AcceleratorHarness and mfpga::build_multi_fpga throw verify::VerifyError
-  /// carrying every diagnostic instead of failing on the first DFC_REQUIRE.
-  /// Off by default so existing flows are byte-identical.
-  bool preflight_verify = false;
 };
 
 /// A built accelerator. The SimContext owns all processes and FIFOs; the raw
@@ -75,7 +69,9 @@ struct Accelerator {
   std::vector<LinkChannel*> links;  ///< inter-FPGA channels, if any
 };
 
-/// Builds the full design. Throws ConfigError on invalid specs.
+/// Builds the full design. Throws verify::VerifyError (a ConfigError)
+/// carrying every spec finding, or the DF403 finding for a layer_device that
+/// does not cover every layer.
 Accelerator build_accelerator(const NetworkSpec& spec, const BuildOptions& options = {});
 
 // --- Segment-level building blocks (shared with src/multifpga/exec) ----------

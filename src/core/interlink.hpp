@@ -37,6 +37,7 @@
 // Process::notify_external_event() whenever they change wire state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -63,6 +64,16 @@ struct InterLinkModel {
   int effective_credits() const {
     if (credits > 0) return credits;
     return static_cast<int>(dfc::ceil_div(2 * link.latency_cycles, link.cycles_per_word)) + 2;
+  }
+
+  /// The credit law: sustained cycles per word under flow control. At most
+  /// `credits` words fit in one 2*latency round trip, so a finite window
+  /// slows the link to ceil(2*latency/credits) cycles per word when that is
+  /// slower than the serializer; the auto-sized window (0) never throttles.
+  std::int64_t effective_cycles_per_word() const {
+    const std::int64_t cpw = link.cycles_per_word;
+    if (credits <= 0) return cpw;
+    return std::max<std::int64_t>(cpw, dfc::ceil_div(2 * link.latency_cycles, credits));
   }
 
   void validate() const {

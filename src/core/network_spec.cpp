@@ -6,6 +6,9 @@
 
 namespace dfc::core {
 
+using dfc::verify::Code;
+using dfc::verify::Diagnostic;
+
 Shape3 layer_out_shape(const LayerSpec& layer) {
   return std::visit([](const auto& l) { return l.out_shape(); }, layer);
 }
@@ -50,50 +53,149 @@ Shape3 NetworkSpec::output_shape() const {
   return layer_out_shape(layers.back());
 }
 
-void NetworkSpec::validate() const {
-  DFC_REQUIRE(!layers.empty(), "network has no layers");
-  Shape3 shape = input_shape;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const LayerSpec& layer = layers[i];
-    const std::string where = "layer " + std::to_string(i) + " (" + layer_describe(layer) + ")";
+void NetworkSpec::validate() const { dfc::verify::throw_if_any(check_spec(*this)); }
+
+std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
+  std::vector<Diagnostic> out;
+  if (spec.layers.empty()) {
+    out.push_back({Code::DF101, "network", "network has no layers"});
+    return out;
+  }
+
+  Shape3 shape = spec.input_shape;
+  if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
+    out.push_back({Code::DF101, "network", "input shape " + shape.str() + " is not positive"});
+    return out;
+  }
+
+  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
+    const auto& layer = spec.layers[i];
+    const std::string where = "L" + std::to_string(i);
+
     if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-      DFC_REQUIRE(conv->in_shape == shape, where + ": input shape mismatch, expected " +
-                                               shape.str() + " got " + conv->in_shape.str());
-      DFC_REQUIRE(shape.c % conv->in_ports == 0, where + ": IN_FM not divisible by IN_PORTS");
-      DFC_REQUIRE(conv->out_fm % conv->out_ports == 0,
-                  where + ": OUT_FM not divisible by OUT_PORTS");
-      DFC_REQUIRE(static_cast<std::int64_t>(conv->weights.size()) ==
-                      conv->out_fm * shape.c * conv->kh * conv->kw,
-                  where + ": weight size mismatch");
-      DFC_REQUIRE(static_cast<std::int64_t>(conv->biases.size()) == conv->out_fm,
-                  where + ": bias size mismatch");
-      DFC_REQUIRE(!(conv->pad > 0 && conv->use_filter_chain),
-                  where + ": the element-level filter chain supports only P = 0");
+      if (!(conv->in_shape == shape)) {
+        out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
+                                               " got " + conv->in_shape.str()});
+      }
+      if (conv->kh <= 0 || conv->kw <= 0 || conv->stride <= 0 || conv->pad < 0) {
+        out.push_back({Code::DF101, where, "kernel and stride must be positive, padding not "
+                                           "negative"});
+        return out;  // the output shape is undefined
+      }
+      if (conv->in_ports <= 0 || conv->out_ports <= 0) {
+        out.push_back({Code::DF102, where, "port counts must be positive"});
+        shape = conv->out_shape();
+        continue;
+      }
+      if (shape.c % conv->in_ports != 0) {
+        out.push_back({Code::DF102, where,
+                       "IN_FM (" + std::to_string(shape.c) + ") not divisible by IN_PORTS (" +
+                           std::to_string(conv->in_ports) + ")"});
+      }
+      if (conv->out_fm % conv->out_ports != 0) {
+        out.push_back({Code::DF102, where,
+                       "OUT_FM (" + std::to_string(conv->out_fm) +
+                           ") not divisible by OUT_PORTS (" +
+                           std::to_string(conv->out_ports) + ")"});
+      }
+      const std::int64_t want_w = conv->out_fm * conv->in_shape.c * conv->kh * conv->kw;
+      if (static_cast<std::int64_t>(conv->weights.size()) != want_w) {
+        out.push_back({Code::DF103, where,
+                       "weight table has " + std::to_string(conv->weights.size()) +
+                           " entries, expected " + std::to_string(want_w)});
+      }
+      if (static_cast<std::int64_t>(conv->biases.size()) != conv->out_fm) {
+        out.push_back({Code::DF103, where,
+                       "bias table has " + std::to_string(conv->biases.size()) +
+                           " entries, expected " + std::to_string(conv->out_fm)});
+      }
+      if (conv->pad > 0 && conv->use_filter_chain) {
+        out.push_back({Code::DF104, where,
+                       "the element-level filter chain supports only P = 0 "
+                       "(zero-padding needs the fused memory structure)"});
+      }
+      shape = conv->out_shape();
     } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
-      DFC_REQUIRE(pool->in_shape == shape, where + ": input shape mismatch, expected " +
-                                               shape.str() + " got " + pool->in_shape.str());
-      DFC_REQUIRE(shape.c % pool->ports == 0, where + ": channels not divisible by cores");
+      if (!(pool->in_shape == shape)) {
+        out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
+                                               " got " + pool->in_shape.str()});
+      }
+      if (pool->kh <= 0 || pool->kw <= 0 || pool->stride <= 0) {
+        out.push_back({Code::DF101, where, "pool window and stride must be positive"});
+        return out;  // the output shape is undefined
+      }
+      if (pool->ports <= 0) {
+        out.push_back({Code::DF102, where, "pool core count must be positive"});
+        shape = pool->out_shape();
+        continue;
+      }
+      if (shape.c % pool->ports != 0) {
+        out.push_back({Code::DF102, where,
+                       "channels (" + std::to_string(shape.c) + ") not divisible by cores (" +
+                           std::to_string(pool->ports) + ")"});
+      }
+      shape = pool->out_shape();
     } else {
       const auto& fcn = std::get<FcnLayerSpec>(layer);
-      DFC_REQUIRE(fcn.in_count == shape.volume(),
-                  where + ": input count mismatch, expected " + std::to_string(shape.volume()));
-      DFC_REQUIRE(static_cast<std::int64_t>(fcn.weights.size()) == fcn.in_count * fcn.out_count,
-                  where + ": weight size mismatch");
-      DFC_REQUIRE(static_cast<std::int64_t>(fcn.biases.size()) == fcn.out_count,
-                  where + ": bias size mismatch");
+      if (fcn.in_count != shape.volume()) {
+        out.push_back({Code::DF105, where,
+                       "classifier expects " + std::to_string(fcn.in_count) +
+                           " inputs but upstream delivers " + std::to_string(shape.volume())});
+      }
+      if (static_cast<std::int64_t>(fcn.weights.size()) != fcn.in_count * fcn.out_count) {
+        out.push_back({Code::DF103, where,
+                       "weight table has " + std::to_string(fcn.weights.size()) +
+                           " entries, expected " + std::to_string(fcn.in_count * fcn.out_count)});
+      }
+      if (static_cast<std::int64_t>(fcn.biases.size()) != fcn.out_count) {
+        out.push_back({Code::DF103, where,
+                       "bias table has " + std::to_string(fcn.biases.size()) +
+                           " entries, expected " + std::to_string(fcn.out_count)});
+      }
+      shape = fcn.out_shape();
     }
-    // Port-count adapters exist for every </=/> combination, but divisibility
-    // between consecutive port counts is required by the round-robin
-    // interleave (Sec. IV-A).
+
+    if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
+      out.push_back({Code::DF101, where, "output shape " + shape.str() + " is not positive"});
+      return out;  // downstream shapes are meaningless
+    }
+
+    // Divisibility between consecutive port counts, required by the
+    // round-robin interleave (Sec. IV-A).
     if (i > 0) {
-      const int up = layer_out_ports(layers[i - 1]);
+      const int up = layer_out_ports(spec.layers[i - 1]);
       const int down = layer_in_ports(layer);
-      DFC_REQUIRE(up == down || (up < down && down % up == 0) || (up > down && up % down == 0),
-                  where + ": incompatible port counts " + std::to_string(up) + " -> " +
-                      std::to_string(down));
+      if (up > 0 && down > 0 &&
+          !(up == down || (up < down && down % up == 0) || (up > down && up % down == 0))) {
+        out.push_back({Code::DF102, where,
+                       "incompatible port counts " + std::to_string(up) + " -> " +
+                           std::to_string(down) + " (round-robin interleave needs one to "
+                           "divide the other)"});
+      }
     }
-    shape = layer_out_shape(layer);
   }
+  return out;
+}
+
+std::vector<Diagnostic> check_partition(const NetworkSpec& spec,
+                                        const std::vector<std::size_t>& layer_device,
+                                        bool require_monotone) {
+  if (layer_device.size() != spec.layers.size()) {
+    return {{Code::DF403, "partition",
+             "layer_device has " + std::to_string(layer_device.size()) + " entries for " +
+                 std::to_string(spec.layers.size()) + " layer(s)"}};
+  }
+  if (require_monotone) {
+    for (std::size_t i = 1; i < layer_device.size(); ++i) {
+      if (layer_device[i] < layer_device[i - 1]) {
+        return {{Code::DF403, "L" + std::to_string(i),
+                 "device assignment goes backwards (" + std::to_string(layer_device[i - 1]) +
+                     " -> " + std::to_string(layer_device[i]) +
+                     "); the design is a forward pipeline"}};
+      }
+    }
+  }
+  return {};
 }
 
 std::int64_t NetworkSpec::flops_per_image() const {

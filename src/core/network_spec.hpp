@@ -17,6 +17,7 @@
 #include "hlscore/op_latency.hpp"
 #include "hlscore/pool_core.hpp"
 #include "tensor/tensor.hpp"
+#include "verify/diagnostics.hpp"
 
 namespace dfc::core {
 
@@ -96,7 +97,7 @@ struct NetworkSpec {
   /// Number of classifier outputs (volume of the last layer's output).
   std::int64_t num_outputs() const { return output_shape().volume(); }
 
-  /// Validates shape chaining and port compatibility; throws ConfigError.
+  /// Throws verify::VerifyError carrying every check_spec finding.
   void validate() const;
 
   /// Floating-point operations per image: 2*MACs + bias adds for conv/fcn,
@@ -106,5 +107,20 @@ struct NetworkSpec {
   /// Multiline description of the whole design.
   std::string describe() const;
 };
+
+/// The design rules every builder, model and the verifier rely on: shape
+/// chaining (DF101), port counts and interleave divisibility (DF102), weight
+/// and bias table sizes (DF103), filter chain without padding (DF104) and the
+/// classifier input count (DF105). Returns every finding, each an error; an
+/// empty result means the spec is legal.
+std::vector<dfc::verify::Diagnostic> check_spec(const NetworkSpec& spec);
+
+/// Partition legality (DF403): `layer_device` covers every layer and, when
+/// `require_monotone` (the multi-board executor's contract), never maps a
+/// layer to an earlier device than its predecessor. Returns at most one
+/// finding.
+std::vector<dfc::verify::Diagnostic> check_partition(const NetworkSpec& spec,
+                                                     const std::vector<std::size_t>& layer_device,
+                                                     bool require_monotone);
 
 }  // namespace dfc::core

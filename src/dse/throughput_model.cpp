@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+#include "common/math_util.hpp"
+
 namespace dfc::dse {
 
 using dfc::core::ConvLayerSpec;
@@ -9,8 +12,12 @@ using dfc::core::FcnLayerSpec;
 using dfc::core::NetworkSpec;
 using dfc::core::PoolLayerSpec;
 
-TimingEstimate estimate_timing(const NetworkSpec& spec) {
+TimingEstimate estimate_timing(const NetworkSpec& spec,
+                               const std::vector<std::size_t>& layer_device,
+                               const dfc::core::InterLinkModel& link) {
   spec.validate();
+  DFC_REQUIRE(layer_device.empty() || layer_device.size() == spec.layers.size(),
+              "layer_device must cover every layer");
   TimingEstimate est;
 
   est.stages.push_back({"dma-in", spec.input_shape.volume()});
@@ -38,6 +45,17 @@ TimingEstimate estimate_timing(const NetworkSpec& spec) {
   }
 
   est.stages.push_back({"dma-out", spec.output_shape().volume()});
+
+  if (!layer_device.empty()) {
+    const std::int64_t cycles_per_word = link.effective_cycles_per_word();
+    for (std::size_t i = 0; i + 1 < spec.layers.size(); ++i) {
+      if (layer_device[i + 1] == layer_device[i]) continue;
+      const std::int64_t words = dfc::core::layer_out_shape(spec.layers[i]).volume();
+      const int ports = dfc::core::layer_out_ports(spec.layers[i]);
+      est.stages.push_back({"link" + std::to_string(i) + "->" + std::to_string(i + 1),
+                            dfc::ceil_div(words, ports) * cycles_per_word});
+    }
+  }
 
   est.interval_cycles = 0;
   for (std::size_t i = 0; i < est.stages.size(); ++i) {

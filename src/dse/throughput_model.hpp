@@ -10,16 +10,21 @@
 //   pool:  in_h*in_w*channels/ports           (II = 1 per window)
 //   fcn:   in_count (+ out_count emission overlap)
 //   DMA:   image volume on the input side, outputs on the output side
+//   link:  on a multi-board cut, every device boundary carries the producing
+//          layer's output volume per image, split over its ports, at the
+//          credit law's sustained rate (InterLinkModel::effective_cycles_per_word)
 //
 // The model predicts the Fig. 6 convergence value without running the
-// simulator, and is the objective function of the DSE; the simulator is the
-// ground truth it is validated against (tests/dse).
+// simulator. It is the objective function of the DSE and the multi-board
+// partitioner and the interval the static verifier reports; the simulator is
+// the ground truth it is validated against (tests/dse, tests/multifpga).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/interlink.hpp"
 #include "core/network_spec.hpp"
 
 namespace dfc::dse {
@@ -39,6 +44,11 @@ struct TimingEstimate {
   }
 };
 
-TimingEstimate estimate_timing(const dfc::core::NetworkSpec& spec);
+/// Stages in pipeline order (dma-in, one per layer, dma-out), then one
+/// "link<i>-><i+1>" stage per device boundary of `layer_device` (empty: one
+/// device), in layer order. `link.credits > 0` models a credit-limited link.
+TimingEstimate estimate_timing(const dfc::core::NetworkSpec& spec,
+                               const std::vector<std::size_t>& layer_device = {},
+                               const dfc::core::InterLinkModel& link = {});
 
 }  // namespace dfc::dse

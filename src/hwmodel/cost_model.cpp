@@ -133,6 +133,27 @@ DesignEstimate estimate_design(const NetworkSpec& spec, const CostModel& m) {
   return est;
 }
 
+std::vector<ResourceUsage> usage_per_device(const NetworkSpec& spec,
+                                            const std::vector<std::size_t>& layer_device,
+                                            std::size_t num_devices, const CostModel& m) {
+  DFC_REQUIRE(layer_device.empty() || layer_device.size() == spec.layers.size(),
+              "layer_device must cover every layer");
+  std::vector<ResourceUsage> usage(num_devices);
+  std::vector<bool> hosts_layer(num_devices, false);
+  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
+    const std::size_t d = layer_device.empty() ? 0 : layer_device[i];
+    DFC_REQUIRE(d < num_devices, "layer mapped to unknown device");
+    usage[d] += estimate_layer(spec.layers[i], m);
+    hosts_layer[d] = true;
+  }
+  for (std::size_t d = 0; d < num_devices; ++d) {
+    usage[d].lut *= m.lut_calibration;
+    usage[d].ff *= m.ff_calibration;
+    if (hosts_layer[d]) usage[d] += m.base_design;
+  }
+  return usage;
+}
+
 std::string utilization_row(const NetworkSpec& spec, const Device& device,
                             const CostModel& m) {
   const DesignEstimate est = estimate_design(spec, m);

@@ -68,6 +68,16 @@ struct DesignEstimate {
 DesignEstimate estimate_design(const dfc::core::NetworkSpec& spec,
                                const CostModel& model = {});
 
+/// Calibrated usage of each device under a layer -> device mapping (empty:
+/// every layer on device 0), including one base design on every device that
+/// hosts at least one layer. Unlike estimate_design, port adapters are not
+/// priced: this is the per-board sum the partitioner and the verifier's
+/// budget check compare against a device.
+std::vector<ResourceUsage> usage_per_device(const dfc::core::NetworkSpec& spec,
+                                            const std::vector<std::size_t>& layer_device,
+                                            std::size_t num_devices,
+                                            const CostModel& model = {});
+
 /// Renders the Table I row for `spec` on `device`: utilization percentages
 /// for FF / LUT / BRAM / DSP.
 std::string utilization_row(const dfc::core::NetworkSpec& spec, const Device& device,

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/preflight.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace dfc::mfpga {
@@ -36,22 +35,9 @@ MultiFpgaAccelerator build_multi_fpga(const dfc::core::NetworkSpec& spec,
                                       const std::vector<std::size_t>& layer_device,
                                       const dfc::core::BuildOptions& options,
                                       int link_credits) {
-  dfc::core::run_multi_preflight(spec, layer_device, options, link_credits);
   spec.validate();
-  if (layer_device.size() != spec.layers.size()) {
-    throw dfc::verify::VerifyError(
-        {dfc::verify::Code::DF403, "partition",
-         "layer_device has " + std::to_string(layer_device.size()) + " entries for " +
-             std::to_string(spec.layers.size()) + " layer(s)"});
-  }
-  for (std::size_t i = 1; i < layer_device.size(); ++i) {
-    if (layer_device[i] < layer_device[i - 1]) {
-      throw dfc::verify::VerifyError(
-          {dfc::verify::Code::DF403, "L" + std::to_string(i),
-           "device assignment goes backwards (" + std::to_string(layer_device[i - 1]) + " -> " +
-               std::to_string(layer_device[i]) + "); the design is a forward pipeline"});
-    }
-  }
+  dfc::verify::throw_if_any(
+      dfc::core::check_partition(spec, layer_device, /*require_monotone=*/true));
 
   MultiFpgaAccelerator acc;
   acc.spec = spec;

@@ -71,7 +71,8 @@ struct MultiFpgaAccelerator {
 
 /// Builds the partitioned design. `layer_device` must cover every layer and
 /// be monotone non-decreasing (the design is a pipeline; layers never
-/// migrate backwards). `options.link` is the serial-link timing model;
+/// migrate backwards); otherwise, or on an illegal spec, it throws
+/// verify::VerifyError (DF403, DF1xx). `options.link` is the serial-link timing model;
 /// `link_credits` the Tx credit window (0 = auto, see InterLinkModel).
 /// Every FIFO/process name is prefixed with "fpga<d>." where d is the
 /// owning device's index, so per-device traces and fault targets stay

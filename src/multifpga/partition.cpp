@@ -4,73 +4,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 
 namespace dfc::mfpga {
 
-using dfc::core::LayerSpec;
 using dfc::core::LinkModel;
 using dfc::core::NetworkSpec;
-
-std::vector<dfc::hw::ResourceUsage> usage_per_device(
-    const NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
-    std::size_t num_devices, const dfc::hw::CostModel& cost) {
-  DFC_REQUIRE(layer_device.size() == spec.layers.size(),
-              "layer_device must cover every layer");
-  std::vector<dfc::hw::ResourceUsage> usage(num_devices);
-  std::vector<bool> hosts_layer(num_devices, false);
-  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-    const std::size_t d = layer_device[i];
-    DFC_REQUIRE(d < num_devices, "layer mapped to unknown device");
-    usage[d] += dfc::hw::estimate_layer(spec.layers[i], cost);
-    hosts_layer[d] = true;
-  }
-  for (std::size_t d = 0; d < num_devices; ++d) {
-    usage[d].lut *= cost.lut_calibration;
-    usage[d].ff *= cost.ff_calibration;
-    if (hosts_layer[d]) usage[d] += cost.base_design;
-  }
-  return usage;
-}
-
-dse::TimingEstimate estimate_multi_timing(const NetworkSpec& spec,
-                                          const std::vector<std::size_t>& layer_device,
-                                          const LinkModel& link, int credits) {
-  DFC_REQUIRE(layer_device.size() == spec.layers.size(),
-              "layer_device must cover every layer");
-  dse::TimingEstimate est = dse::estimate_timing(spec);
-
-  // Sustained link rate: the serializer accepts one word per cycles_per_word
-  // cycles, and a finite credit window caps throughput at `credits` words
-  // per 2*latency round trip — whichever is slower binds.
-  std::int64_t cycles_per_word = link.cycles_per_word;
-  if (credits > 0) {
-    cycles_per_word = std::max<std::int64_t>(
-        cycles_per_word, dfc::ceil_div(2 * link.latency_cycles, credits));
-  }
-
-  // Insert a link stage for every device boundary: the crossing carries the
-  // producing layer's full output volume per image, split over its ports.
-  Shape3 shape = spec.input_shape;
-  for (std::size_t i = 0; i < spec.layers.size(); ++i) {
-    shape = dfc::core::layer_out_shape(spec.layers[i]);
-    if (i + 1 < spec.layers.size() && layer_device[i + 1] != layer_device[i]) {
-      const int ports = dfc::core::layer_out_ports(spec.layers[i]);
-      dse::StageTiming st;
-      st.name = "link" + std::to_string(i) + "->" + std::to_string(i + 1);
-      st.cycles_per_image = dfc::ceil_div(shape.volume(), ports) * cycles_per_word;
-      est.stages.push_back(st);
-    }
-  }
-  est.interval_cycles = 0;
-  for (std::size_t i = 0; i < est.stages.size(); ++i) {
-    if (est.stages[i].cycles_per_image > est.interval_cycles) {
-      est.interval_cycles = est.stages[i].cycles_per_image;
-      est.bottleneck_stage = static_cast<std::int64_t>(i);
-    }
-  }
-  return est;
-}
 
 MultiFpgaPlan partition_network(const NetworkSpec& spec,
                                 const std::vector<dfc::hw::Device>& devices,
@@ -99,7 +37,7 @@ MultiFpgaPlan partition_network(const NetworkSpec& spec,
     }
     MultiFpgaPlan plan;
     plan.layer_device = layer_device;
-    plan.device_usage = usage_per_device(spec, layer_device, k, cost);
+    plan.device_usage = dfc::hw::usage_per_device(spec, layer_device, k, cost);
     plan.device_fits.resize(k);
     plan.fits = true;
     for (std::size_t d = 0; d < k; ++d) {
@@ -107,7 +45,7 @@ MultiFpgaPlan partition_network(const NetworkSpec& spec,
       plan.fits = plan.fits && plan.device_fits[d];
     }
     if (!plan.fits) return;
-    plan.timing = estimate_multi_timing(spec, layer_device, link);
+    plan.timing = dse::estimate_timing(spec, layer_device, {link, 0});
     // Deterministic total order: best interval, then fewest devices, then
     // the lexicographically smallest assignment — so equal-quality plans
     // resolve identically no matter how the cut space is enumerated.
@@ -168,10 +106,10 @@ MultiFpgaPlan partition_network_exact(const NetworkSpec& spec, std::size_t num_d
   const auto evaluate = [&](const std::vector<std::size_t>& layer_device) {
     MultiFpgaPlan plan;
     plan.layer_device = layer_device;
-    plan.device_usage = usage_per_device(spec, layer_device, num_devices, cost);
+    plan.device_usage = dfc::hw::usage_per_device(spec, layer_device, num_devices, cost);
     plan.device_fits.assign(num_devices, true);  // fit is not a constraint here
     plan.fits = true;
-    plan.timing = estimate_multi_timing(spec, layer_device, link, credits);
+    plan.timing = dse::estimate_timing(spec, layer_device, {link, credits});
     const bool better =
         !have_best || plan.timing.interval_cycles < best.timing.interval_cycles ||
         (plan.timing.interval_cycles == best.timing.interval_cycles &&

@@ -5,10 +5,10 @@
 // A partition assigns each layer to one device; consecutive layers on
 // different devices communicate through LinkChannels (core/link.hpp). The
 // partitioner enumerates contiguous splits (layers never migrate backwards —
-// the design is a pipeline), prices each segment with the hwmodel estimator,
-// includes one base design (MicroBlaze/DMA shell) per device, and picks the
-// split that fits all devices with the best predicted throughput (link
-// bandwidth included).
+// the design is a pipeline), prices each segment with hw::usage_per_device
+// (one base design, the MicroBlaze/DMA shell, per device), and picks the
+// split that fits all devices with the best dse::estimate_timing interval
+// (link stages included).
 #pragma once
 
 #include <cstdint>
@@ -37,23 +37,6 @@ struct MultiFpgaPlan {
   std::string describe(const dfc::core::NetworkSpec& spec) const;
 };
 
-/// Resource usage of each device under a given assignment (calibrated,
-/// including one base design per device that hosts at least one layer).
-std::vector<dfc::hw::ResourceUsage> usage_per_device(
-    const dfc::core::NetworkSpec& spec, const std::vector<std::size_t>& layer_device,
-    std::size_t num_devices, const dfc::hw::CostModel& cost = {});
-
-/// Timing estimate with inter-FPGA link stages for boundary crossings.
-/// `credits > 0` models a credit-limited link (core/interlink): the
-/// sustained rate is one word per max(cycles_per_word,
-/// ceil(2*latency/credits)) cycles, since at most `credits` words fit in a
-/// credit round trip. 0 means an unconstrained (auto-sized) window, i.e.
-/// the serializer rate alone.
-dse::TimingEstimate estimate_multi_timing(const dfc::core::NetworkSpec& spec,
-                                          const std::vector<std::size_t>& layer_device,
-                                          const dfc::core::LinkModel& link,
-                                          int credits = 0);
-
 /// Finds the best contiguous partition of `spec` over `devices` (in pipeline
 /// order). Throws ConfigError if no contiguous split fits. Ties (equal
 /// predicted interval and device count) break on the lexicographically
@@ -67,8 +50,9 @@ MultiFpgaPlan partition_network(const dfc::core::NetworkSpec& spec,
 /// Best contiguous partition using *exactly* `num_devices` devices, each
 /// hosting at least one layer, ignoring resource fit (for scaling studies
 /// and tests that force a device count regardless of utilisation). Same
-/// objective and deterministic tie-breaking as partition_network. Throws
-/// ConfigError when num_devices exceeds the layer count.
+/// objective and deterministic tie-breaking as partition_network; `credits`
+/// prices a credit-limited link (0: auto-sized window). Throws ConfigError
+/// when num_devices exceeds the layer count.
 MultiFpgaPlan partition_network_exact(const dfc::core::NetworkSpec& spec,
                                       std::size_t num_devices,
                                       const dfc::core::LinkModel& link = {},

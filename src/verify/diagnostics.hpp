@@ -2,8 +2,8 @@
 //
 // Every problem the verifier can name has a stable code (DF001…), a default
 // severity and a *named location* — the FIFO, process, layer or device the
-// problem lives at — so tooling (CI gates, the DSE rejection filter, editor
-// integrations) can key on codes instead of parsing prose. Codes are grouped
+// problem lives at — so tooling (CI gates, editor integrations) can key on
+// codes instead of parsing prose. Codes are grouped
 // by family and are never renumbered:
 //
 //   DF0xx  graph structure   (dangling channels, duplicate names, dead stages)
@@ -12,10 +12,11 @@
 //   DF3xx  deadlock freedom  (feedback cycles, starved joins, sink demand)
 //   DF4xx  resources         (Table I budget, partition legality)
 //
-// Header-only on purpose: construction paths in core/builder and
-// multifpga/exec throw structured diagnostics (VerifyError) without linking
-// the verifier library, keeping the dependency graph acyclic
-// (verify -> core, never core -> verify).
+// Header-only on purpose: core builds the spec and partition diagnostics
+// (NetworkSpec::validate, check_spec, check_partition) and core/builder and
+// multifpga/exec throw them as VerifyError without linking the verifier
+// library, keeping the dependency graph acyclic (verify -> core, never
+// core -> verify).
 #pragma once
 
 #include <cstddef>
@@ -126,10 +127,12 @@ struct Diagnostic {
   }
 };
 
-/// Thrown by construction paths and the pre-flight when a design carries
-/// error-severity diagnostics. A ConfigError subclass, so every existing
-/// catch site keeps working — but callers that know about the verifier can
-/// recover the structured findings instead of parsing what().
+/// Thrown by NetworkSpec::validate, the construction paths and
+/// VerifyReport::throw_if_errors when a design carries error-severity
+/// diagnostics. A ConfigError subclass, so every existing catch site keeps
+/// working — but callers that know about the verifier can recover the
+/// structured findings instead of parsing what(). One finding renders on one
+/// line; several render one per line.
 class VerifyError : public ConfigError {
  public:
   explicit VerifyError(std::vector<Diagnostic> diagnostics)
@@ -141,6 +144,7 @@ class VerifyError : public ConfigError {
  private:
   static std::string join(const std::vector<Diagnostic>& ds) {
     std::string s = "design verification failed";
+    if (ds.size() == 1) return s + ": " + ds.front().str();
     for (const Diagnostic& d : ds) {
       s += "\n  ";
       s += d.str();
@@ -149,5 +153,10 @@ class VerifyError : public ConfigError {
   }
   std::vector<Diagnostic> diagnostics_;
 };
+
+/// Throws VerifyError carrying `diagnostics` unless there are none.
+inline void throw_if_any(std::vector<Diagnostic> diagnostics) {
+  if (!diagnostics.empty()) throw VerifyError(std::move(diagnostics));
+}
 
 }  // namespace dfc::verify

@@ -10,19 +10,21 @@
 //   1. graph structure    — dangling/unbound channels, duplicate names,
 //                           unreachable stages (DF001–DF004);
 //   2. shape propagation  — tensor shapes, interleave divisibility, weight
-//                           table widths (DF101–DF105);
-//   3. rate consistency   — per-stage Eq. 4 cycles, FIFOs/links that
-//                           statically throttle the design II (DF201–DF203);
+//                           table widths (DF101–DF105, core::check_spec);
+//   3. rate consistency   — dse::estimate_timing's Eq. 4 stage cycles,
+//                           FIFOs/links that statically throttle the design
+//                           II (DF201–DF203);
 //   4. deadlock freedom   — sink word demand vs delivery, feedback cycles
 //                           with empty FIFOs; inter-device links are covered
 //                           by the credit-conservation argument (DF301–DF302);
-//   5. resource budget    — Table I model vs the device, per partition
-//                           segment (DF401–DF403).
+//   5. resource budget    — hw::usage_per_device (Table I) vs the device,
+//                           per partition segment (DF401–DF402), and
+//                           partition legality (DF403, core::check_partition).
 //
-// The verifier never throws on a bad design — it *reports*. It is wired in
-// three places: the `dfcnn check` CLI, the opt-in pre-flight of
-// AcceleratorHarness / mfpga::build_multi_fpga (BuildOptions::preflight_verify),
-// and the DSE candidate filter (DseOptions::verify_candidates).
+// The spec and partition rules live in core, so every builder already
+// throws all of their findings at once (NetworkSpec::validate); the verifier
+// adds the graph, rate, deadlock and budget families on top. It never throws
+// on a bad design — it *reports* — and backs the `dfcnn check` CLI.
 #pragma once
 
 #include <cstdint>
@@ -44,9 +46,6 @@ struct VerifyOptions {
   dfc::hw::CostModel cost_model{};
   /// Utilization fraction above which DF402 warns (errors start at 1.0).
   double headroom_warn_fraction = 0.90;
-  /// Table I budget checks can be disabled for pure-structure verification
-  /// (e.g. DSE candidates are budget-checked by the explorer itself).
-  bool check_resources = true;
 };
 
 /// The machine-readable verdict: every diagnostic plus the design facts the
@@ -71,7 +70,7 @@ struct VerifyReport {
   /// Deterministic JSON for tooling and CI gates.
   std::string to_json() const;
   /// Throws VerifyError carrying the error-severity diagnostics; no-op when
-  /// clean. The fail-fast half of the pre-flight.
+  /// clean.
   void throw_if_errors() const;
 };
 
@@ -90,18 +89,7 @@ VerifyReport verify_design_multi(const dfc::core::NetworkSpec& spec,
                                  int link_credits = 0, const VerifyOptions& vopts = {});
 
 /// Structural checks only (DF001–DF004, DF301–DF302) over an arbitrary
-/// graph — the entry point for hand-built topologies in tests and for
-/// pre-flighting hand-assembled accelerators.
+/// graph — the entry point for hand-built topologies in tests.
 VerifyReport verify_graph(const DesignGraph& graph);
-
-/// Spec-level checks only (DF101–DF105 + DF403 when layer_device is set):
-/// the cheap subset the DSE rejection filter runs per candidate.
-std::vector<Diagnostic> check_spec(const dfc::core::NetworkSpec& spec);
-
-/// Registers the verifier as core's build-time pre-flight hook, honoured by
-/// AcceleratorHarness when BuildOptions::preflight_verify is set. Linking
-/// this library installs it automatically (static registrar); calling it
-/// again is a cheap no-op.
-void install_preflight();
 
 }  // namespace dfc::verify

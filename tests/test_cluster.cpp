@@ -87,7 +87,7 @@ std::vector<std::vector<std::uint64_t>> synth_tables(std::size_t nodes, std::siz
 TEST(NetHopTest, UncreditedSerializationAndLatency) {
   HopModel model;
   model.link.link = core::LinkModel{10, 4};  // latency 10, 1 word / 4 cycles
-  EXPECT_EQ(model.effective_cycles_per_word(), 4u);  // auto credits never throttle
+  EXPECT_EQ(model.link.effective_cycles_per_word(), 4);  // auto credits never throttle
 
   NetHop hop("h", model);
   // 4 words: first at the raw rate, rest at the (equal) effective rate.
@@ -104,7 +104,7 @@ TEST(NetHopTest, CreditWindowThrottlesSustainedRate) {
   HopModel model;
   model.link.link = core::LinkModel{10, 1};
   model.link.credits = 4;  // round trip 20 / 4 credits -> 1 word per 5 cycles
-  EXPECT_EQ(model.effective_cycles_per_word(), 5u);
+  EXPECT_EQ(model.link.effective_cycles_per_word(), 5);
 
   NetHop hop("h", model);
   // occupancy = 1 + 3 * 5 = 16; delivery adds the flight latency.

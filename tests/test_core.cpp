@@ -4,6 +4,10 @@
 // block-design export.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "axis/flit.hpp"
@@ -403,6 +407,103 @@ TEST(SpecIoTest, AlexNetRoundTripPreservesPaddingAndStride) {
   EXPECT_EQ(c0b.act, c0.act);
   EXPECT_EQ(back.flops_per_image(), spec.flops_per_image());
   EXPECT_EQ(back.output_shape(), spec.output_shape());
+}
+
+/// conv 3x3 2->2 on 2x4x4, 2x2 max-pool, fcn 2->3: every port count may be
+/// 1 or 2.
+NetworkSpec two_port_ready_spec() {
+  NetworkSpec spec;
+  spec.name = "zero-ports";
+  spec.input_shape = Shape3{2, 4, 4};
+  ConvLayerSpec conv;
+  conv.in_shape = spec.input_shape;
+  conv.out_fm = 2;
+  conv.kh = conv.kw = 3;
+  conv.weights.assign(2 * 2 * 9, 0.1f);
+  conv.biases.assign(2, 0.0f);
+  spec.layers.push_back(conv);
+  PoolLayerSpec pool;
+  pool.in_shape = Shape3{2, 2, 2};
+  spec.layers.push_back(pool);
+  FcnLayerSpec fcn;
+  fcn.in_count = 2;
+  fcn.out_count = 3;
+  fcn.weights.assign(2 * 3, 0.05f);
+  fcn.biases.assign(3, 0.0f);
+  spec.layers.push_back(fcn);
+  return spec;
+}
+
+/// The three port fields of two_port_ready_spec.
+int& port_field(NetworkSpec& spec, int which) {
+  if (which == 0) return std::get<ConvLayerSpec>(spec.layers[0]).in_ports;
+  if (which == 1) return std::get<ConvLayerSpec>(spec.layers[0]).out_ports;
+  return std::get<PoolLayerSpec>(spec.layers[1]).ports;
+}
+
+/// The spec stream with port field `which` set to 0. save_spec refuses such
+/// a spec, so the field's low byte is found as the only byte where the
+/// streams with the field at 1 and at 2 differ.
+std::string zero_port_stream(int which) {
+  NetworkSpec one = two_port_ready_spec();
+  NetworkSpec two = two_port_ready_spec();
+  port_field(two, which) = 2;
+  std::stringstream a, b;
+  save_spec(one, a);
+  save_spec(two, b);
+  std::string bytes = a.str();
+  const std::string other = b.str();
+  EXPECT_EQ(bytes.size(), other.size());
+  std::size_t diffs = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] != other[i]) {
+      bytes[i] = '\0';
+      ++diffs;
+    }
+  }
+  EXPECT_EQ(diffs, 1u);
+  return bytes;
+}
+
+void expect_df102(const std::function<void()>& f, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << what << ": expected VerifyError";
+  } catch (const dfc::verify::VerifyError& e) {
+    ASSERT_EQ(e.diagnostics().size(), 1u) << what;
+    EXPECT_EQ(e.diagnostics()[0].code, dfc::verify::Code::DF102) << what;
+  }
+}
+
+TEST(SpecIoTest, ZeroPortCountsAreStructuredErrors) {
+  for (int which = 0; which < 3; ++which) {
+    const std::string what = "port field " + std::to_string(which);
+    NetworkSpec spec = two_port_ready_spec();
+    port_field(spec, which) = 0;
+    expect_df102([&] { spec.validate(); }, what + " validate");
+    expect_df102(
+        [&] {
+          std::stringstream buf(zero_port_stream(which));
+          load_spec(buf);
+        },
+        what + " load_spec");
+  }
+
+  // The conv in_ports case is also the committed design the dfcnn CLI tests
+  // load (tests/CMakeLists.txt, dfcnn_*_rejects_zero_ports).
+  const std::filesystem::path fixture =
+      std::filesystem::path(__FILE__).parent_path() / "golden" / "zero_in_ports.dfcnn";
+  if (std::getenv("DFCNN_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(fixture, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << fixture;
+    out << zero_port_stream(0);
+    GTEST_SKIP() << "fixture regenerated at " << fixture;
+  }
+  std::ifstream in(fixture, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << fixture << " (run once with DFCNN_UPDATE_GOLDEN=1)";
+  std::ostringstream committed;
+  committed << in.rdbuf();
+  EXPECT_EQ(committed.str(), zero_port_stream(0));
 }
 
 TEST(SpecIoTest, RejectsGarbage) {

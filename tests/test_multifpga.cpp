@@ -14,6 +14,7 @@
 #include "core/harness.hpp"
 #include "core/interlink.hpp"
 #include "core/presets.hpp"
+#include "dse/throughput_model.hpp"
 #include "dataflow/endpoints.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
@@ -216,6 +217,11 @@ TEST(InterLinkTest, ModelValidatesAndSizesAutoCredits) {
   EXPECT_EQ(one.effective_credits(), 4);
   const InterLinkModel fixed{LinkModel{40, 4}, 3};
   EXPECT_EQ(fixed.effective_credits(), 3);
+  // The credit law: auto-sized and wide windows run at the serializer rate,
+  // a narrow one at one word per ceil(2*latency/credits) cycles.
+  EXPECT_EQ(m.effective_cycles_per_word(), 4);
+  EXPECT_EQ(fixed.effective_cycles_per_word(), 27);  // ceil(80/3)
+  EXPECT_EQ((InterLinkModel{LinkModel{40, 4}, 64}).effective_cycles_per_word(), 4);
   EXPECT_THROW((InterLinkModel{LinkModel{0, 1}, 0}).validate(), ConfigError);
   EXPECT_THROW((InterLinkModel{LinkModel{1, 1}, -1}).validate(), ConfigError);
 }
@@ -223,7 +229,7 @@ TEST(InterLinkTest, ModelValidatesAndSizesAutoCredits) {
 TEST(UsagePerDeviceTest, SplitsAndAddsBasePerDevice) {
   const auto spec = dfc::core::make_usps_spec();
   const std::vector<std::size_t> map{0, 0, 1, 1};
-  const auto usage = usage_per_device(spec, map, 2);
+  const auto usage = dfc::hw::usage_per_device(spec, map, 2);
   const dfc::hw::CostModel cost;
   // Each hosting device pays one base design.
   EXPECT_GE(usage[0].bram36, cost.base_design.bram36);
@@ -234,13 +240,17 @@ TEST(UsagePerDeviceTest, SplitsAndAddsBasePerDevice) {
   // Sum is the single-device total plus one extra base design.
   const auto single = dfc::hw::estimate_design(spec).total;
   EXPECT_NEAR(usage[0].dsp + usage[1].dsp, single.dsp + cost.base_design.dsp, 1.0);
+  // An empty map puts every layer on device 0.
+  const auto all_on_0 = dfc::hw::usage_per_device(spec, {0, 0, 0, 0}, 1);
+  EXPECT_EQ(dfc::hw::usage_per_device(spec, {}, 1)[0].dsp, all_on_0[0].dsp);
+  EXPECT_EQ(dfc::hw::usage_per_device(spec, {}, 1)[0].lut, all_on_0[0].lut);
 }
 
 TEST(MultiTimingTest, LinkStageAppears) {
   const auto spec = dfc::core::make_usps_spec();
   const std::vector<std::size_t> map{0, 0, 1, 1};
   const LinkModel link{40, 4};
-  const auto est = estimate_multi_timing(spec, map, link);
+  const auto est = dfc::dse::estimate_timing(spec, map, {link, 0});
   bool found = false;
   for (const auto& st : est.stages) {
     if (st.name.find("link") != std::string::npos) {
@@ -256,7 +266,7 @@ TEST(MultiTimingTest, SlowLinkBecomesBottleneck) {
   const auto spec = dfc::core::make_usps_spec();
   const std::vector<std::size_t> map{0, 0, 1, 1};
   const LinkModel slow{40, 64};
-  const auto est = estimate_multi_timing(spec, map, slow);
+  const auto est = dfc::dse::estimate_timing(spec, map, {slow, 0});
   // 36 words * 64 = 2304 > every fabric stage.
   EXPECT_EQ(est.interval_cycles, 36 * 64);
 }
@@ -448,7 +458,7 @@ TEST(MultiFpgaExecTest, MeasuredIntervalMatchesEstimateFastAndSlowLink) {
   for (const int cpw : {4, 16}) {
     const LinkModel link{40, cpw};
     const double predicted = static_cast<double>(
-        estimate_multi_timing(spec, map, link).interval_cycles);
+        dfc::dse::estimate_timing(spec, map, {link, 0}).interval_cycles);
 
     dfc::core::BuildOptions opts;
     opts.link = link;
@@ -603,7 +613,7 @@ TEST(PartitionEdgeTest, TieBreaksAreDeterministicAndLexicographic) {
   for (std::size_t cut = 1; cut < spec.layers.size(); ++cut) {
     std::vector<std::size_t> map(spec.layers.size(), 0);
     for (std::size_t i = cut; i < map.size(); ++i) map[i] = 1;
-    const auto est = estimate_multi_timing(spec, map, link);
+    const auto est = dfc::dse::estimate_timing(spec, map, {link, 0});
     if (best_interval < 0 || est.interval_cycles < best_interval) {
       best_interval = est.interval_cycles;
       winners.clear();
@@ -626,10 +636,10 @@ TEST(PartitionEdgeTest, EstimatorAppliesCreditCap) {
   const std::vector<std::size_t> map{0, 0, 1, 1};
   const LinkModel link{40, 4};
   // credits=1: one word per 80-cycle round trip → 36 words × 80 cycles.
-  const auto est = estimate_multi_timing(spec, map, link, 1);
+  const auto est = dfc::dse::estimate_timing(spec, map, {link, 1});
   EXPECT_EQ(est.interval_cycles, 36 * 80);
   // A generous window restores the serializer rate.
-  const auto wide = estimate_multi_timing(spec, map, link, 64);
+  const auto wide = dfc::dse::estimate_timing(spec, map, {link, 64});
   EXPECT_EQ(wide.interval_cycles, 256);
 }
 

@@ -2,10 +2,9 @@
 // design per diagnostic code (asserted by code, never by message text), the
 // deadlock cross-validation suite (every deadlock-class diagnostic has a sim
 // twin that reaches RunStatus::kDeadlock in the cycle engine; clean presets
-// simulate with unchanged logits), graph-vs-builder name equivalence, the
-// Eq. 4 interval cross-check against dse/multifpga, deterministic JSON, the
-// promoted builder/exec diagnostics, the opt-in pre-flight, and the DSE
-// rejection filter.
+// simulate with unchanged logits), graph-vs-builder name equivalence,
+// deterministic JSON, the promoted builder/exec diagnostics, and builds that
+// collect every spec error before constructing anything.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,11 +14,8 @@
 #include <vector>
 
 #include "core/harness.hpp"
-#include "core/preflight.hpp"
 #include "core/presets.hpp"
 #include "dataflow/endpoints.hpp"
-#include "dse/explorer.hpp"
-#include "dse/throughput_model.hpp"
 #include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
 #include "report/experiments.hpp"
@@ -79,6 +75,11 @@ TEST(VerifyCodesTest, DF101ShapeMismatch) {
   const auto r = verify_design(spec);
   EXPECT_TRUE(r.has(Code::DF101));
   EXPECT_FALSE(r.clean());
+
+  // A zero stride leaves the output shape undefined.
+  NetworkSpec strideless = tiny_pipeline();
+  std::get<PoolLayerSpec>(strideless.layers[1]).stride = 0;
+  EXPECT_TRUE(verify_design(strideless).has(Code::DF101));
 }
 
 TEST(VerifyCodesTest, DF102PortDivisibility) {
@@ -473,31 +474,6 @@ TEST(VerifyGraphMirrorTest, MultiContextNamesMatchExecutor) {
   EXPECT_EQ(graph_nodes, ctx_procs);
 }
 
-// --- rate model cross-validation ---------------------------------------------
-
-TEST(VerifyRateTest, IntervalMatchesThroughputModel) {
-  for (const auto& spec : {dfc::core::make_usps_preset().compile_spec(),
-                           dfc::core::make_cifar_preset().compile_spec(),
-                           dfc::core::make_alexnet_mini_preset().compile_spec()}) {
-    const auto est = dfc::dse::estimate_timing(spec);
-    EXPECT_EQ(verify_design(spec).predicted_interval_cycles, est.interval_cycles) << spec.name;
-  }
-}
-
-TEST(VerifyRateTest, MultiIntervalMatchesPartitionModel) {
-  const auto spec = dfc::core::make_cifar_preset().compile_spec();
-  const dfc::core::LinkModel link{40, 4};
-  for (std::size_t boards = 2; boards <= 3; ++boards) {
-    const auto plan = dfc::mfpga::partition_network_exact(spec, boards, link);
-    const auto est = dfc::mfpga::estimate_multi_timing(spec, plan.layer_device, link);
-    BuildOptions opts;
-    opts.link = link;
-    EXPECT_EQ(verify_design_multi(spec, plan.layer_device, opts).predicted_interval_cycles,
-              est.interval_cycles)
-        << boards << " boards";
-  }
-}
-
 // --- deterministic JSON ------------------------------------------------------
 
 TEST(VerifyReportTest, JsonIsByteIdenticalAcrossSweepThreads) {
@@ -567,64 +543,30 @@ TEST(VerifyPromotionTest, ExecutorPartitionThrowsStructured) {
   } catch (const VerifyError& e) {
     EXPECT_EQ(e.diagnostics()[0].code, Code::DF403);
   }
+  NetworkSpec bad_classifier = tiny_pipeline();
+  std::get<FcnLayerSpec>(bad_classifier.layers[2]).in_count = 7;
+  try {
+    dfc::mfpga::build_multi_fpga(bad_classifier, {0, 0, 1}, {});
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
+    EXPECT_EQ(e.diagnostics()[0].code, Code::DF105);
+  }
 }
 
-// --- opt-in pre-flight -------------------------------------------------------
+// --- builds collect every spec error ----------------------------------------
 
 TEST(VerifyPreflightTest, CollectsEveryErrorBeforeBuilding) {
-  install_preflight();
   NetworkSpec spec = tiny_spec();
   auto& conv = std::get<ConvLayerSpec>(spec.layers[0]);
   conv.weights.pop_back();
   conv.biases.pop_back();
-
-  // Knob off: validate() throws on the first problem (plain ConfigError,
-  // not a VerifyError).
-  EXPECT_THROW(dfc::core::build_accelerator(spec), dfc::ConfigError);
-
-  BuildOptions opts;
-  opts.preflight_verify = true;
   try {
-    dfc::core::build_accelerator(spec, opts);
+    dfc::core::build_accelerator(spec);
     FAIL() << "expected VerifyError";
   } catch (const VerifyError& e) {
     EXPECT_EQ(e.diagnostics().size(), 2u) << "both DF103 findings, not just the first";
     for (const auto& d : e.diagnostics()) EXPECT_EQ(d.code, Code::DF103);
   }
-}
-
-TEST(VerifyPreflightTest, MultiExecHonoursKnob) {
-  install_preflight();
-  NetworkSpec spec = tiny_pipeline();
-  std::get<FcnLayerSpec>(spec.layers[2]).in_count = 7;
-  BuildOptions opts;
-  opts.preflight_verify = true;
-  try {
-    dfc::mfpga::build_multi_fpga(spec, {0, 0, 1}, opts);
-    FAIL() << "expected VerifyError";
-  } catch (const VerifyError& e) {
-    EXPECT_EQ(e.diagnostics()[0].code, Code::DF105);
-  }
-  // Clean designs build identically with the knob on.
-  const auto clean = tiny_pipeline();
-  EXPECT_NO_THROW(dfc::mfpga::build_multi_fpga(clean, {0, 0, 1}, opts));
-}
-
-// --- DSE rejection filter ----------------------------------------------------
-
-TEST(VerifyDseTest, FilterKeepsResultAndCountsRejections) {
-  const auto preset = dfc::core::make_usps_preset();
-  dfc::dse::DseOptions with, without;
-  with.verify_candidates = true;
-  without.verify_candidates = false;
-  const auto a = dfc::dse::explore(preset.net, preset.input_shape, with);
-  const auto b = dfc::dse::explore(preset.net, preset.input_shape, without);
-  EXPECT_EQ(a.best.timing.interval_cycles, b.best.timing.interval_cycles);
-  EXPECT_EQ(a.best.plan.conv.size(), b.best.plan.conv.size());
-  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
-  // The verifier only rejects what compilation would also reject (legal DSE
-  // enumerations compile to legal specs), so the counts agree.
-  EXPECT_EQ(a.candidates_rejected, b.candidates_rejected);
 }
 
 }  // namespace
