@@ -2,9 +2,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/harness.hpp"
 #include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
-#include "serve/replica_pool.hpp"
 
 namespace dfc::cluster {
 
@@ -34,24 +34,31 @@ std::vector<std::uint64_t> measure_service_table(const dfc::core::NetworkSpec& s
   DFC_REQUIRE(max_batch > 0, "service table needs a positive max batch size");
   link.validate();
 
-  std::vector<std::uint64_t> table(max_batch, 0);
+  const std::vector<Tensor> images = timing_images(spec, max_batch);
+  dfc::core::BatchResult res;
   if (boards == 1) {
-    dfc::serve::ReplicaPool pool(spec, 1, options);
-    for (std::size_t n = 1; n <= max_batch; ++n) table[n - 1] = pool.service_cycles(n);
-    return table;
+    dfc::core::AcceleratorHarness harness(dfc::core::build_accelerator(spec, options));
+    res = harness.run_batch(images);
+  } else {
+    const mfpga::MultiFpgaPlan plan =
+        mfpga::partition_network_exact(spec, boards, link.link, link.credits);
+    dfc::core::BuildOptions opts = options;
+    opts.link = link.link;
+    mfpga::MultiFpgaHarness harness(
+        mfpga::build_multi_fpga(spec, plan.layer_device, opts, link.credits));
+    res = harness.run_batch(images);
   }
+  DFC_CHECK(res.ok() && res.completed() == max_batch,
+            "service measurement of " + spec.name + " on " + std::to_string(boards) +
+                " board(s) completed " + std::to_string(res.completed()) + " of " +
+                std::to_string(max_batch) + " images: " + res.error);
 
-  const mfpga::MultiFpgaPlan plan =
-      mfpga::partition_network_exact(spec, boards, link.link, link.credits);
-  dfc::core::BuildOptions opts = options;
-  opts.link = link.link;
-  mfpga::MultiFpgaHarness harness(
-      mfpga::build_multi_fpga(spec, plan.layer_device, opts, link.credits));
+  // Prefix stability (DESIGN.md §14): no image is delayed by a later one, so
+  // image n-1 completes at the same cycle here as in a batch of n, and its
+  // completion is the size-n batch's service time.
+  std::vector<std::uint64_t> table(max_batch, 0);
   for (std::size_t n = 1; n <= max_batch; ++n) {
-    const dfc::core::BatchResult res = harness.run_batch(timing_images(spec, n));
-    DFC_CHECK(res.ok(), "multi-board service measurement did not complete (batch size " +
-                            std::to_string(n) + "): " + res.error);
-    table[n - 1] = res.total_cycles();
+    table[n - 1] = res.completion_cycles[n - 1] - res.start_cycle;
   }
   return table;
 }

@@ -1,17 +1,22 @@
 // Measured service-time tables for single- and multi-board replicas.
 //
-// The serve planner consumes a table mapping batch size -> cycles (entry n-1
-// = cycles of a size-n back-to-back batch), measured on the cycle engine.
-// Until now that table always came from a single-device ReplicaPool, so a
-// replica that is really a multi-board pipeline (src/multifpga) was planned
-// with single-board timings — the "PR 7 -> serve gap" named in ROADMAP.
+// The serve and cluster planners consume a table mapping batch size ->
+// cycles (entry n-1 = cycles of a size-n back-to-back batch), measured on the
+// cycle engine. A replica that is a multi-board pipeline (src/multifpga) is
+// partitioned with partition_network_exact (contiguous split, best predicted
+// interval) and measured on a lockstep MultiFpgaHarness, so the interlink's
+// bandwidth, latency and credit window land in the planner's per-image
+// service times exactly as the wire-level executor charges them.
 //
-// measure_service_table closes it: for boards > 1 the design is partitioned
-// with partition_network_exact (contiguous split, best predicted interval)
-// and each batch size is measured on a lockstep MultiFpgaHarness, so the
-// interlink's bandwidth, latency and credit window land in the planner's
-// per-image service times exactly as the wire-level executor charges them.
-// The measurement is bit-deterministic (lockstep multi-context execution,
+// Every board count takes one path: build one harness, stream one batch of
+// max_batch images, and read entry n-1 as image n-1's completion cycle. The
+// pipeline is prefix-stable — no image is delayed by a later one (DESIGN.md
+// §14) — so one run of max_batch images replaces the max_batch(max_batch+1)/2
+// images of per-size runs and gives the same table. One case is not exact: a
+// single board whose shared DMA bus is throttled to dma_cycles_per_word >= 3,
+// where a later image's input word can hold the bus when the sink wants it
+// (entries below max_batch read 2 cycles high on TC1 and TC2). The
+// measurement is bit-deterministic (lockstep multi-context execution,
 // DESIGN.md §11), so planner timelines built on these tables stay
 // byte-identical across hosts and DFCNN_SWEEP_THREADS.
 #pragma once
@@ -26,10 +31,11 @@
 namespace dfc::cluster {
 
 /// Measures cycles for back-to-back batches of size 1..max_batch on a
-/// replica of `spec` spanning `boards` devices (1 = single-device, measured
-/// via a ReplicaPool harness; >1 = contiguous partition over `boards` boards
-/// joined by `link`-timed credit-based interlinks). Throws ConfigError when
-/// boards exceeds the layer count and SimError if a batch fails to complete.
+/// replica of `spec` spanning `boards` devices (1 = one AcceleratorHarness;
+/// >1 = contiguous partition over `boards` boards joined by `link`-timed
+/// credit-based interlinks), from one run of max_batch images. Throws
+/// ConfigError when boards exceeds the layer count and InternalError, naming
+/// the design and board count, if the run does not complete.
 std::vector<std::uint64_t> measure_service_table(
     const dfc::core::NetworkSpec& spec, std::size_t boards, std::size_t max_batch,
     const dfc::core::InterLinkModel& link = {},

@@ -138,6 +138,9 @@ void MultiFpgaHarness::reset() {
   for (auto& dev : acc_.devices) {
     dev.ctx->reset();
     dev.ctx->reset_fifo_stats();
+    // A DmaSource resets only the bus it drives; the last board's bus serves
+    // just the sink, so without this its pacing survives into the next batch.
+    if (dev.bus) dev.bus->reset();
   }
   for (auto& w : acc_.wires) w->reset();
   for (auto& t : trackers_) t.reset();

@@ -152,7 +152,7 @@ class MultiFpgaHarness {
   void enable_integrity_guards(dfc::df::FaultListener* listener, float range_bound);
   void disable_integrity_guards();
 
-  /// Resets every device context, wire and per-batch FIFO statistic.
+  /// Resets every device context, DMA bus, wire and per-batch FIFO statistic.
   void reset();
 
  private:

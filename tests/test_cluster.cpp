@@ -16,8 +16,13 @@
 #include "cluster/service_table.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/harness.hpp"
 #include "core/presets.hpp"
+#include "multifpga/exec.hpp"
+#include "multifpga/partition.hpp"
+#include "report/experiments.hpp"
 #include "serve/load_generator.hpp"
+#include "serve/replica_pool.hpp"
 
 namespace dfc::cluster {
 namespace {
@@ -342,6 +347,106 @@ TEST(ServiceTableTest, MultiBoardTablesPriceTheInterlink) {
   // serve planner now sees interlink timing in its service tables.
   EXPECT_GT(two_slow[0], two_fast[0]);
   EXPECT_NE(two_fast[0], single[0]);
+}
+
+/// Per-size reference: every batch size on its own freshly built harness,
+/// partitioned and linked as measure_service_table does.
+std::vector<std::uint64_t> fresh_harness_table(const core::NetworkSpec& spec,
+                                               std::size_t boards, std::size_t max_batch,
+                                               const core::InterLinkModel& link,
+                                               const core::BuildOptions& options) {
+  const auto images = report::random_images(spec, max_batch);
+  mfpga::MultiFpgaPlan plan;
+  core::BuildOptions opts = options;
+  if (boards > 1) {
+    plan = mfpga::partition_network_exact(spec, boards, link.link, link.credits);
+    opts.link = link.link;
+  }
+  std::vector<std::uint64_t> table;
+  for (std::size_t n = 1; n <= max_batch; ++n) {
+    const std::vector<Tensor> batch(images.begin(), images.begin() + n);
+    core::BatchResult res;
+    if (boards == 1) {
+      core::AcceleratorHarness harness(core::build_accelerator(spec, opts));
+      res = harness.run_batch(batch);
+    } else {
+      mfpga::MultiFpgaHarness harness(
+          mfpga::build_multi_fpga(spec, plan.layer_device, opts, link.credits));
+      res = harness.run_batch(batch);
+    }
+    EXPECT_TRUE(res.ok()) << res.error;
+    table.push_back(res.total_cycles());
+  }
+  return table;
+}
+
+struct TableCase {
+  core::NetworkSpec spec;
+  std::size_t boards;
+};
+
+// TC1 on 1-4 boards and TC2 on 1-2 boards.
+std::vector<TableCase> table_cases() {
+  return {{core::make_usps_spec(1), 1},  {core::make_usps_spec(1), 2},
+          {core::make_usps_spec(1), 3},  {core::make_usps_spec(1), 4},
+          {core::make_cifar_spec(2), 1}, {core::make_cifar_spec(2), 2}};
+}
+
+void expect_one_run_table_matches_fresh_harnesses(const TableCase& c,
+                                                  const core::InterLinkModel& link,
+                                                  const core::BuildOptions& options = {}) {
+  SCOPED_TRACE(c.spec.name + " on " + std::to_string(c.boards) + " boards, link {" +
+               std::to_string(link.link.latency_cycles) + ", " +
+               std::to_string(link.link.cycles_per_word) + "}, credits " +
+               std::to_string(link.credits) +
+               (options.dma_shared_bus ? "" : ", private DMA bus"));
+  constexpr std::size_t kMaxBatch = 16;
+  EXPECT_EQ(measure_service_table(c.spec, c.boards, kMaxBatch, link, options),
+            fresh_harness_table(c.spec, c.boards, kMaxBatch, link, options));
+}
+
+TEST(ServiceTableTest, OneRunTableMatchesFreshHarnessPerBatchSize) {
+  const core::InterLinkModel link{core::LinkModel{40, 4}, 0};
+  for (const TableCase& c : table_cases()) expect_one_run_table_matches_fresh_harnesses(c, link);
+}
+
+// The prefix argument must hold for every multi-board timing knob: a private
+// DMA bus, a link-bound serializer, a one-credit window and the fleet's
+// long-latency hop used as a board link.
+void expect_multi_board_tables_match_fresh_harnesses(const core::InterLinkModel& link,
+                                                     const core::BuildOptions& options = {}) {
+  for (const TableCase& c : table_cases()) {
+    if (c.boards > 1) expect_one_run_table_matches_fresh_harnesses(c, link, options);
+  }
+}
+
+TEST(ServiceTableTest, OneRunTableMatchesFreshHarnessesOnPrivateDmaBus) {
+  core::BuildOptions private_bus;
+  private_bus.dma_shared_bus = false;
+  expect_multi_board_tables_match_fresh_harnesses({}, private_bus);
+}
+
+TEST(ServiceTableTest, OneRunTableMatchesFreshHarnessesOnLinkBoundSerializer) {
+  expect_multi_board_tables_match_fresh_harnesses({core::LinkModel{40, 16}, 0});
+}
+
+TEST(ServiceTableTest, OneRunTableMatchesFreshHarnessesWithOneCredit) {
+  expect_multi_board_tables_match_fresh_harnesses({core::LinkModel{40, 4}, 1});
+}
+
+TEST(ServiceTableTest, OneRunTableMatchesFreshHarnessesOverFleetHopLink) {
+  expect_multi_board_tables_match_fresh_harnesses({core::LinkModel{200, 1}, 0});
+}
+
+TEST(ServiceTableTest, SingleBoardTableEqualsReplicaPoolServiceCycles) {
+  // serve and cluster price a one-board replica identically.
+  for (const core::NetworkSpec& spec : {core::make_usps_spec(1), core::make_cifar_spec(2)}) {
+    const auto table = measure_service_table(spec, 1, 16);
+    serve::ReplicaPool pool(spec, 1);
+    for (std::size_t n = 1; n <= table.size(); ++n) {
+      EXPECT_EQ(table[n - 1], pool.service_cycles(n)) << spec.name << " batch " << n;
+    }
+  }
 }
 
 // --- end-to-end determinism ----------------------------------------------------

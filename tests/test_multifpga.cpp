@@ -489,6 +489,40 @@ TEST(MultiFpgaExecTest, RejectsNonMonotoneOrIncompleteMapping) {
   EXPECT_THROW(build_multi_fpga(spec, {0, 0, 1}), ConfigError);
 }
 
+TEST(MultiFpgaExecTest, ReusedHarnessMatchesFreshHarnessesAcrossBatchSizes) {
+  // reset() must return every board to power-on state, the sink-only DMA bus
+  // of the last board included: batches 1..16 on one reused harness take
+  // exactly the cycles of the same batches on freshly built harnesses.
+  struct Cut {
+    dfc::core::NetworkSpec spec;
+    std::size_t boards;
+  };
+  const std::vector<Cut> cuts = {{dfc::core::make_usps_spec(1), 2},
+                                 {dfc::core::make_usps_spec(1), 3},
+                                 {dfc::core::make_usps_spec(1), 4},
+                                 {dfc::core::make_cifar_spec(2), 2}};
+  const LinkModel link{40, 4};
+  dfc::core::BuildOptions opts;
+  opts.link = link;
+  for (const Cut& cut : cuts) {
+    const MultiFpgaPlan plan = partition_network_exact(cut.spec, cut.boards, link);
+    MultiFpgaHarness reused(build_multi_fpga(cut.spec, plan.layer_device, opts));
+    const auto images = dfc::report::random_images(cut.spec, 16);
+    for (std::size_t n = 1; n <= images.size(); ++n) {
+      SCOPED_TRACE(cut.spec.name + " on " + std::to_string(cut.boards) + " boards, batch " +
+                   std::to_string(n));
+      const std::vector<Tensor> batch(images.begin(), images.begin() + n);
+      MultiFpgaHarness fresh(build_multi_fpga(cut.spec, plan.layer_device, opts));
+      const auto rr = reused.run_batch(batch);
+      const auto rf = fresh.run_batch(batch);
+      ASSERT_TRUE(rr.ok()) << rr.error;
+      ASSERT_TRUE(rf.ok()) << rf.error;
+      EXPECT_EQ(rr.inject_cycles, rf.inject_cycles);
+      EXPECT_EQ(rr.completion_cycles, rf.completion_cycles);
+    }
+  }
+}
+
 TEST(MultiFpgaExecTest, LinkFaultDetectedByIntegrityGuards) {
   // A bit flip inside the inter-FPGA ingress FIFO must be caught by the
   // checksum/sequence sidecars downstream on the receiving device.

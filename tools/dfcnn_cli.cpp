@@ -78,8 +78,9 @@
 // virtex7-485t (default) | virtex7-330t | kintex7-325t.
 //
 // Exit codes: 0 success, 1 a library error (bad design, failed check), 2 a
-// usage error (unknown command, or a `cluster` numeric flag that is not a
-// non-negative number).
+// usage error (unknown command; a numeric argument of `simulate`, `serve` or
+// `cluster` that is not a non-negative number; zero serve replicas or
+// boards).
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
@@ -400,6 +401,13 @@ T parse_flag_value(const char* flag, const char* text) {
   return value;
 }
 
+/// parse_flag_value for a count that must be at least 1 (replicas, boards).
+std::size_t parse_count(const char* flag, const char* text) {
+  const auto value = parse_flag_value<std::size_t>(flag, text);
+  if (value == 0) throw BadFlagValue(std::string(flag) + " must be at least 1, got '0'");
+  return value;
+}
+
 cluster::RoutePolicy parse_policy(const std::string& name) {
   if (name == "round-robin" || name == "rr") return cluster::RoutePolicy::kRoundRobin;
   if (name == "least-loaded" || name == "ll") return cluster::RoutePolicy::kLeastLoaded;
@@ -621,7 +629,7 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--compiled") == 0) {
           compiled = true;
         } else {
-          batch = std::stoul(argv[i]);
+          batch = parse_flag_value<std::size_t>("batch", argv[i]);
         }
       }
       return cmd_simulate(load_design(design), batch, compiled);
@@ -658,21 +666,25 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--metrics") == 0) {
           metrics = true;
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          seed = std::stoull(argv[++i]);
+          seed = parse_flag_value<std::uint64_t>("--seed", argv[++i]);
         } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-          flag_rate = std::stod(argv[++i]);
+          flag_rate = parse_flag_value<double>("--rate", argv[++i]);
         } else if (std::strcmp(argv[i], "--boards") == 0 && i + 1 < argc) {
-          boards = std::stoul(argv[++i]);
+          boards = parse_count("--boards", argv[++i]);
         } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
           trace_path = argv[++i];
         } else {
           positional.emplace_back(argv[i]);
         }
       }
-      const std::size_t requests = positional.size() > 0 ? std::stoul(positional[0]) : 2000;
-      double rate = positional.size() > 1 ? std::stod(positional[1]) : 0.0;
+      const std::size_t requests =
+          positional.size() > 0 ? parse_flag_value<std::size_t>("requests", positional[0].c_str())
+                                : 2000;
+      double rate =
+          positional.size() > 1 ? parse_flag_value<double>("rate", positional[1].c_str()) : 0.0;
       if (flag_rate >= 0.0) rate = flag_rate;
-      const std::size_t replicas = positional.size() > 2 ? std::stoul(positional[2]) : 2;
+      const std::size_t replicas =
+          positional.size() > 2 ? parse_count("replicas", positional[2].c_str()) : 2;
       return cmd_serve(load_design(design), requests, rate, replicas, metrics, seed,
                        trace_path, boards);
     }
