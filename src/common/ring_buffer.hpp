@@ -24,10 +24,10 @@ class RingBuffer {
   bool empty() const { return size_ == 0; }
   bool full() const { return size_ == storage_.size(); }
 
-  /// Appends an element; the buffer must not be full.
-  void push(T value) {
+  /// Appends a copy of `value`; the buffer must not be full.
+  void push(const T& value) {
     DFC_ASSERT(!full(), "RingBuffer overflow");
-    storage_[tail_] = std::move(value);
+    storage_[tail_] = value;
     tail_ = advance(tail_);
     ++size_;
   }

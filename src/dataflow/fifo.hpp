@@ -250,7 +250,9 @@ class Fifo final : public FifoBase {
     return items_.front();
   }
 
-  /// Consumes and returns the front element. Requires can_pop().
+  /// Consumes and returns the front element. Requires can_pop(). The guard
+  /// checks the element in place, so a caller that read it through front()
+  /// and discards the result pays for no copy.
   T pop() {
     DFC_ASSERT(can_pop(), "Fifo::pop without can_pop: " + name_);
     popped_this_cycle_ = true;
@@ -258,17 +260,17 @@ class Fifo final : public FifoBase {
     ++lifetime_.pops;
     mark_pending();
     trace_record(obs::EventKind::kPop);
-    T value = items_.pop();
-    if (guard_enabled_) guard_check(value);
-    return value;
+    if (guard_enabled_) guard_check(items_.front());
+    return items_.pop();
   }
 
-  /// Enqueues `value`; it becomes visible to consumers next cycle.
-  /// Requires can_push().
-  void push(T value) {
+  /// Enqueues a copy of `value`; it becomes visible to consumers next
+  /// cycle. Requires can_push(). Taking a reference keeps a large token
+  /// (a Window) to one copy into the pending slot.
+  void push(const T& value) {
     DFC_ASSERT(can_push(), "Fifo::push without can_push: " + name_);
     pushed_this_cycle_ = true;
-    pending_ = std::move(value);
+    pending_ = value;
     pending_count_ = 1;
     if (guard_enabled_) {
       pending_sum_ = guard_seq_mix(fault_payload_checksum(pending_), guard_push_seq_++);
@@ -291,7 +293,7 @@ class Fifo final : public FifoBase {
   bool commit() override {
     const bool active = pushed_this_cycle_ || popped_this_cycle_;
     if (pending_count_ > 0) {
-      items_.push(std::move(pending_));
+      items_.push(pending_);
       pending_count_ = 0;
       if (guard_enabled_) guard_sums_.push_back(pending_sum_);
     }
@@ -338,7 +340,7 @@ class Fifo final : public FifoBase {
     held.reserve(items_.size());
     while (!items_.empty()) held.push_back(items_.pop());
     items_.push(held.front());
-    for (auto& v : held) items_.push(std::move(v));
+    for (const auto& v : held) items_.push(v);
     // The copy is bitwise faithful, so its sidecar entry is a copy too — a
     // duplicated beat evades pure per-flit parity. The sequence number mixed
     // into each checksum is what catches it: the original lands one pop

@@ -216,7 +216,9 @@ class SimContext {
  private:
   void prepare_schedule();
   void step_naive();
-  void step_active();
+  // Aligned to a cache line so link order cannot shift the hot loop's
+  // fetch alignment between builds.
+  [[gnu::aligned(64)]] void step_active();
   void step_checked();
   void step_observed();
   void finish_cycle(bool any_activity);

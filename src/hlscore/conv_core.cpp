@@ -1,5 +1,7 @@
 #include "hlscore/conv_core.hpp"
 
+#include <algorithm>
+
 #include "common/math_util.hpp"
 #include "hlscore/tree_reduce.hpp"
 
@@ -38,10 +40,7 @@ ConvCore::ConvCore(std::string name, ConvCoreConfig config,
     : Process(std::move(name)),
       cfg_(std::move(config)),
       win_in_(std::move(window_in)),
-      out_(std::move(stream_out)),
-      acc_(static_cast<std::size_t>(cfg_.out_fm), 0.0f),
-      products_(static_cast<std::size_t>(cfg_.in_ports) * static_cast<std::size_t>(cfg_.taps())),
-      windows_(static_cast<std::size_t>(cfg_.in_ports)) {
+      out_(std::move(stream_out)) {
   cfg_.validate();
   // Enough pipeline slots to hide the operator latency at the steady-state
   // initiation interval (the depth of the synthesized pipeline).
@@ -51,6 +50,39 @@ ConvCore::ConvCore(std::string name, ConvCoreConfig config,
               "ConvCore needs one window channel per input port");
   DFC_REQUIRE(static_cast<int>(out_.size()) == cfg_.out_ports,
               "ConvCore needs one stream per output port");
+
+  const auto taps = static_cast<std::size_t>(cfg_.taps());
+  const auto out_fm = static_cast<std::size_t>(cfg_.out_fm);
+  products_ = static_cast<std::size_t>(cfg_.in_ports) * taps;
+  blocks_ = (out_fm + kConvLanes - 1) / kConvLanes;
+  const auto beats = static_cast<std::size_t>(cfg_.gather_beats());
+  weight_bank_.assign(beats * products_ * blocks_, ConvLanes{});
+  for (std::size_t g = 0; g < beats; ++g) {
+    for (std::size_t n = 0; n < products_; ++n) {
+      // Product n of beat g multiplies tap n % taps of input channel
+      // g*IN_PORTS + n / taps (port p carries channel g*IN_PORTS + p).
+      const auto c = static_cast<std::int64_t>(g * static_cast<std::size_t>(cfg_.in_ports) +
+                                               n / taps);
+      const auto t = static_cast<std::int64_t>(n % taps);
+      ConvLanes* lanes = &weight_bank_[(g * products_ + n) * blocks_];
+      for (std::size_t k = 0; k < out_fm; ++k) {
+        lanes[k / kConvLanes][k % kConvLanes] = cfg_.weight(static_cast<std::int64_t>(k), c, t);
+      }
+    }
+  }
+  bias_bank_.assign(blocks_, ConvLanes{});
+  for (std::size_t k = 0; k < out_fm; ++k) {
+    bias_bank_[k / kConvLanes][k % kConvLanes] = cfg_.biases[k];
+  }
+  // The banks replace the config's weight and bias vectors.
+  cfg_.weights.clear();
+  cfg_.weights.shrink_to_fit();
+  cfg_.biases.clear();
+  cfg_.biases.shrink_to_fit();
+  row_.assign(products_, 0.0f);
+  levels_.assign((products_ + 1) / 2 * blocks_, ConvLanes{});
+  slots_.assign(in_flight_limit_ + 1, InFlight{});
+  banks_.assign(slots_.size() * blocks_, ConvLanes{});
 }
 
 void ConvCore::on_clock() {
@@ -68,7 +100,7 @@ void ConvCore::on_clock() {
     // in the pipeline, or an emission is half done — empty inputs then count
     // as starvation; with nothing in progress they are plain idle.
     obs::CoreState s;
-    const bool in_progress = group_ != 0 || !in_flight_.empty() || emit_beat_ != 0;
+    const bool in_progress = group_ != 0 || in_flight_ != 0 || emit_beat_ != 0;
     if (worked_this_cycle_) {
       s = obs::CoreState::kWorking;
     } else if (blocked_output_ || blocked_retire_) {
@@ -83,7 +115,7 @@ void ConvCore::on_clock() {
 }
 
 void ConvCore::try_emit() {
-  if (in_flight_.empty() || now() < in_flight_.front().ready_cycle) return;
+  if (in_flight_ == 0 || now() < slots_[head_].ready_cycle) return;
   // One beat pushes OUT_PORTS values in lockstep; all ports must be ready.
   for (auto* port : out_) {
     if (!port->can_push()) {
@@ -92,18 +124,20 @@ void ConvCore::try_emit() {
       return;
     }
   }
-  const InFlight& head = in_flight_.front();
+  const ConvLanes* values = bank(head_);
   const bool last_beat = (emit_beat_ == cfg_.emit_beats() - 1);
   for (int p = 0; p < cfg_.out_ports; ++p) {
     const std::int64_t k = emit_beat_ * cfg_.out_ports + p;
+    const auto ku = static_cast<std::size_t>(k);
     Flit f;
-    f.data = apply_activation(cfg_.activation, head.values[static_cast<std::size_t>(k)]);
+    f.data = apply_activation(cfg_.activation, values[ku / kConvLanes][ku % kConvLanes]);
     f.channel = static_cast<std::int32_t>(cfg_.out_channel_base + k);
-    f.last = last_beat && head.last_of_image;
+    f.last = last_beat && slots_[head_].last_of_image;
     out_[static_cast<std::size_t>(p)]->push(f);
   }
   if (last_beat) {
-    in_flight_.pop_front();
+    head_ = (head_ + 1) % slots_.size();
+    --in_flight_;
     emit_beat_ = 0;
   } else {
     ++emit_beat_;
@@ -114,7 +148,7 @@ void ConvCore::try_emit() {
 void ConvCore::try_gather() {
   // The final beat of a position needs a free pipeline slot to retire into.
   const bool completing = (group_ == cfg_.gather_beats() - 1);
-  if (completing && in_flight_.size() >= in_flight_limit_) {
+  if (completing && in_flight_ >= in_flight_limit_) {
     ++gather_stalls_;
     blocked_retire_ = true;
     return;
@@ -130,46 +164,73 @@ void ConvCore::try_gather() {
     }
   }
 
-  if (group_ == 0) {
-    for (std::int64_t k = 0; k < cfg_.out_fm; ++k) {
-      acc_[static_cast<std::size_t>(k)] = cfg_.biases[static_cast<std::size_t>(k)];
-    }
-  }
-
-  // Pop one window per input port; port p at beat g carries input channel
-  // g*IN_PORTS + p under the round-robin interleave.
+  // Read one window per input port into the beat's input row, then pop it;
+  // port p at beat g carries input channel g*IN_PORTS + p under the
+  // round-robin interleave.
+  const std::size_t taps = static_cast<std::size_t>(cfg_.taps());
   bool last_of_image = false;
   for (int p = 0; p < cfg_.in_ports; ++p) {
-    Window& w = windows_[static_cast<std::size_t>(p)];
-    w = win_in_[static_cast<std::size_t>(p)]->pop();
+    auto* port = win_in_[static_cast<std::size_t>(p)];
+    const Window& w = port->front();
     DFC_ASSERT(w.count == cfg_.taps(), "window tap count mismatch in " + name());
     DFC_ASSERT(w.slot == group_, "window slot out of order in " + name());
+    std::copy_n(w.taps.data(), taps, row_.data() + static_cast<std::size_t>(p) * taps);
     last_of_image |= w.last_of_image;
+    port->pop();
   }
-
   worked_this_cycle_ = true;
-  const std::int64_t taps = cfg_.taps();
-  for (std::int64_t k = 0; k < cfg_.out_fm; ++k) {
-    // Multiplier bank: IN_PORTS * taps products, reduced by the tree adder,
-    // accumulated into the partial-sum register (Algorithm 1).
-    std::size_t n = 0;
-    for (int p = 0; p < cfg_.in_ports; ++p) {
-      const std::int64_t c = group_ * cfg_.in_ports + p;
-      const Window& w = windows_[static_cast<std::size_t>(p)];
-      for (std::int64_t t = 0; t < taps; ++t) {
-        products_[n++] = cfg_.weight(k, c, t) * w.taps[static_cast<std::size_t>(t)];
+
+  // Multiplier bank and tree adder for all OUT_FM lanes at once (Algorithm
+  // 1): level 1 adds products (2i, 2i+1), an odd last product carries up,
+  // and each further level pairs the previous one the same way — exactly
+  // tree_reduce_inplace's association, lane by lane.
+  const std::size_t blocks = blocks_;
+  const float* x = row_.data();
+  const ConvLanes* w = &weight_bank_[static_cast<std::size_t>(group_) * products_ * blocks];
+  ConvLanes* s = levels_.data();
+  std::size_t n = products_;
+  const std::size_t half = n / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    const ConvLanes* w0 = w + 2 * i * blocks;
+    const ConvLanes* w1 = w0 + blocks;
+    const float x0 = x[2 * i];
+    const float x1 = x[2 * i + 1];
+    for (std::size_t b = 0; b < blocks; ++b) s[i * blocks + b] = w0[b] * x0 + w1[b] * x1;
+  }
+  if (n % 2 == 1) {
+    const ConvLanes* wl = w + (n - 1) * blocks;
+    for (std::size_t b = 0; b < blocks; ++b) s[half * blocks + b] = wl[b] * x[n - 1];
+    n = half + 1;
+  } else {
+    n = half;
+  }
+  while (n > 1) {
+    const std::size_t h = n / 2;
+    for (std::size_t i = 0; i < h; ++i) {
+      for (std::size_t b = 0; b < blocks; ++b) {
+        s[i * blocks + b] = s[2 * i * blocks + b] + s[(2 * i + 1) * blocks + b];
       }
     }
-    acc_[static_cast<std::size_t>(k)] += tree_reduce_inplace(std::span<float>(products_.data(), n));
+    if (n % 2 == 1) {
+      for (std::size_t b = 0; b < blocks; ++b) s[h * blocks + b] = s[(n - 1) * blocks + b];
+      n = h + 1;
+    } else {
+      n = h;
+    }
   }
+  // Accumulate into the partial-sum register, seeded with the bias.
+  ConvLanes* acc = bank(gather_slot());
+  const ConvLanes* seed = group_ == 0 ? bias_bank_.data() : acc;
+  for (std::size_t b = 0; b < blocks; ++b) acc[b] = seed[b] + s[b];
 
   if (!completing) {
     ++group_;
     return;
   }
   group_ = 0;
-  in_flight_.push_back(InFlight{
-      acc_, last_of_image, now() + static_cast<std::uint64_t>(cfg_.pipeline_latency())});
+  slots_[gather_slot()] =
+      InFlight{last_of_image, now() + static_cast<std::uint64_t>(cfg_.pipeline_latency())};
+  ++in_flight_;
   ++positions_completed_;
   if (++position_in_image_ == cfg_.out_positions) {
     DFC_ASSERT(last_of_image, "image boundary mismatch in " + name());
@@ -181,13 +242,13 @@ std::uint64_t ConvCore::wake_cycle() const {
   std::uint64_t wake = kNeverWake;
   // Emit side: the head position becomes emittable at its ready_cycle; once
   // ready, a blocked output port notes a stall every cycle (stay awake).
-  if (!in_flight_.empty()) wake = std::max(in_flight_.front().ready_cycle, now());
+  if (in_flight_ != 0) wake = std::max(slots_[head_].ready_cycle, now());
   // Gather side: a completing beat with no free pipeline slot counts a
   // gather stall every cycle regardless of window availability — that state
   // must stay awake. Otherwise the core only acts when every window port has
   // data.
   const bool completing = (group_ == cfg_.gather_beats() - 1);
-  if (completing && in_flight_.size() >= in_flight_limit_) return now();
+  if (completing && in_flight_ >= in_flight_limit_) return now();
   bool windows_ready = true;
   for (const auto* port : win_in_) {
     if (!port->can_pop()) {
@@ -210,7 +271,8 @@ std::vector<dfc::df::FifoBase*> ConvCore::connected_fifos() const {
 void ConvCore::reset() {
   group_ = 0;
   position_in_image_ = 0;
-  in_flight_.clear();
+  head_ = 0;
+  in_flight_ = 0;
   emit_beat_ = 0;
   positions_completed_ = 0;
   gather_stalls_ = 0;

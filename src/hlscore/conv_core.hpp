@@ -12,10 +12,15 @@
 // Results become available for emission only `pipeline_latency()` cycles
 // after the last gather beat, modelling the mul + adder-tree + accumulate
 // pipeline depth of the HLS kernel.
+//
+// Like the hardware's one tree adder per output FM, the simulated core
+// reduces all OUT_FM partial sums of a beat side by side: ConvLanes output
+// FMs per vector, every lane doing the same adds in tree_reduce's order, so
+// each lane is bit-identical to a scalar tree_reduce (DESIGN.md §15).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,11 @@
 #include "sst/window.hpp"
 
 namespace dfc::hls {
+
+/// Output FMs one vector of the lane-parallel adder tree holds (one SSE
+/// register of floats; OUT_FM is padded up to a multiple of it).
+inline constexpr std::size_t kConvLanes = 4;
+using ConvLanes = float __attribute__((vector_size(kConvLanes * sizeof(float))));
 
 struct ConvCoreConfig {
   int in_ports = 1;
@@ -77,11 +87,10 @@ class ConvCore final : public dfc::df::Process {
 
   void on_clock() override;
   void reset() override;
-  bool done() const override { return in_flight_.empty() && group_ == 0; }
+  bool done() const override { return in_flight_ == 0 && group_ == 0; }
   std::uint64_t wake_cycle() const override;
   std::vector<dfc::df::FifoBase*> connected_fifos() const override;
 
-  const ConvCoreConfig& config() const { return cfg_; }
   std::uint64_t positions_completed() const { return positions_completed_; }
 
   /// Cycles the core wanted to start a position but both register banks were
@@ -98,32 +107,49 @@ class ConvCore final : public dfc::df::Process {
 
  private:
   void try_emit();
-  void try_gather();
+  // Aligned to a cache line so link order cannot shift the hot loop's
+  // fetch alignment between builds.
+  [[gnu::aligned(64)]] void try_gather();
 
-  ConvCoreConfig cfg_;
+  /// Partial-sum bank `slot` of the in-flight ring (`blocks_` vectors).
+  ConvLanes* bank(std::size_t slot) { return &banks_[slot * blocks_]; }
+  /// Ring slot of the position being gathered: always free, since the ring
+  /// has one slot more than the pipeline holds.
+  std::size_t gather_slot() const { return (head_ + in_flight_) % slots_.size(); }
+
+  ConvCoreConfig cfg_;  ///< weights and biases moved into the banks below
   std::vector<dfc::df::Fifo<sst::Window>*> win_in_;
   std::vector<dfc::df::Fifo<dfc::axis::Flit>*> out_;
 
-  // Accumulation bank for the position being gathered.
-  std::vector<float> acc_;
+  // Transposed weight bank [gather beat][product n = p*taps + t][block of
+  // kConvLanes output FMs], padded with zero weights past OUT_FM; biases
+  // padded the same way.
+  std::size_t products_ = 0;  ///< IN_PORTS * taps products per output FM and beat
+  std::size_t blocks_ = 0;    ///< OUT_FM / kConvLanes, rounded up
+  std::vector<ConvLanes> weight_bank_;
+  std::vector<ConvLanes> bias_bank_;
+  std::vector<float> row_;         ///< one beat's IN_PORTS * taps window values
+  std::vector<ConvLanes> levels_;  ///< adder-tree levels, ceil(products/2) x blocks_
+
   std::int64_t group_ = 0;  ///< next gather beat within the current position
   std::int64_t position_in_image_ = 0;
 
   // Completed positions travelling through the core's pipeline registers:
   // each becomes emittable `pipeline_latency()` cycles after its last gather
-  // beat. The queue depth models the pipeline stages, so latency never
-  // throttles the steady-state initiation interval.
+  // beat. The ring depth models the pipeline stages, so latency never
+  // throttles the steady-state initiation interval. The ring holds
+  // in_flight_limit_ + 1 preallocated partial-sum banks: in_flight_ of them
+  // from head_ on are in the pipeline, the next one is being gathered.
   struct InFlight {
-    std::vector<float> values;
     bool last_of_image = false;
     std::uint64_t ready_cycle = 0;
   };
-  std::deque<InFlight> in_flight_;
+  std::vector<InFlight> slots_;
+  std::vector<ConvLanes> banks_;
+  std::size_t head_ = 0;
+  std::size_t in_flight_ = 0;
   std::size_t in_flight_limit_ = 2;
   std::int64_t emit_beat_ = 0;
-
-  std::vector<float> products_;        ///< scratch for one beat's multiplier outputs
-  std::vector<sst::Window> windows_;   ///< scratch for one beat's popped windows
 
   std::uint64_t positions_completed_ = 0;
   std::uint64_t gather_stalls_ = 0;

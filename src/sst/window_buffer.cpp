@@ -15,6 +15,7 @@ WindowBuffer::WindowBuffer(std::string name, const WindowGeometry& geom,
       rows_(static_cast<std::size_t>(geom.channels * geom.kh * geom.in_w), 0.0f),
       abs_channel_(static_cast<std::size_t>(geom.channels), 0) {
   geom_.validate();
+  staged_.count = static_cast<std::uint16_t>(geom_.taps());
   emit_oy_ = geom_.origin_min();
   emit_ox_ = geom_.origin_min();
 }
@@ -47,8 +48,9 @@ void WindowBuffer::try_emit() {
     return;
   }
 
-  Window w;
-  w.count = static_cast<std::uint16_t>(geom_.taps());
+  // Only the live taps are rewritten: the staged window keeps its tap
+  // count, and taps past it stay zero from construction.
+  Window& w = staged_;
   w.slot = static_cast<std::uint16_t>(emit_slot_);
   w.abs_channel = abs_channel_[static_cast<std::size_t>(emit_slot_)];
   w.oy = static_cast<std::int32_t>(emit_oy_);

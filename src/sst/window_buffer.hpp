@@ -59,6 +59,8 @@ class WindowBuffer final : public dfc::df::Process {
   std::vector<float> rows_;
   // Absolute channel metadata captured per slot from the incoming flits.
   std::vector<std::int32_t> abs_channel_;
+  // The window try_emit assembles and pushes.
+  Window staged_;
 
   // Write cursor within the current input image (channel-innermost order).
   std::int64_t cur_y_ = 0;

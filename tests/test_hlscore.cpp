@@ -1,12 +1,19 @@
 // Tests for the HLS-style compute cores: functional equivalence with the
 // reference layers, the Eq. 4 initiation interval, pipeline latency, the
-// accumulator-interleave behaviour of the FCN core, and the tree adder.
+// accumulator-interleave behaviour of the FCN core, the tree adder, and the
+// conv core's lane-parallel tree bit for bit against the scalar one.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "axis/flit.hpp"
 #include "common/rng.hpp"
+#include "core/builder.hpp"
+#include "core/functional_model.hpp"
+#include "core/harness.hpp"
+#include "core/presets.hpp"
 #include "dataflow/endpoints.hpp"
 #include "dataflow/sim_context.hpp"
 #include "hlscore/conv_core.hpp"
@@ -304,6 +311,117 @@ TEST(ConvCoreTest, PipelineLatencyFormula) {
   cfg.biases.resize(1);
   // 8 (mul) + 5*11 (tree) + 11 (accumulate) = 74.
   EXPECT_EQ(cfg.pipeline_latency(), 74);
+}
+
+// --- Lane-parallel adder tree: bit-exact against the scalar tree -------------
+
+/// Bits of a float, so equality checks tell -0 from +0 and compare NaNs.
+std::uint32_t bits(float v) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// out_fm, in_ports, window side.
+using LaneCase = std::tuple<std::int64_t, int, int>;
+
+class ConvCoreLanes : public ::testing::TestWithParam<LaneCase> {};
+
+TEST_P(ConvCoreLanes, EveryOutputEqualsScalarTreeOfItsProducts) {
+  const auto [out_fm, in_ports, k] = GetParam();
+  constexpr std::int64_t kBeats = 2;      // accumulation across gather beats
+  constexpr std::int64_t kPositions = 3;  // one image of 3 output positions
+  ConvCoreConfig cfg;
+  cfg.in_ports = in_ports;
+  cfg.in_fm = kBeats * in_ports;
+  cfg.out_fm = out_fm;
+  cfg.kh = cfg.kw = k;
+  cfg.out_positions = kPositions;
+  Rng rng(static_cast<std::uint64_t>(out_fm * 1000 + in_ports * 10 + k));
+  // Magnitudes spread over 2^±12 make float sums order-sensitive, so any
+  // other association than the tree's would show up in the bits.
+  auto draw = [&] { return std::ldexp(rng.uniform(-1.0f, 1.0f), static_cast<int>(rng.next_int(-12, 12))); };
+  cfg.weights.resize(static_cast<std::size_t>(out_fm * cfg.in_fm * cfg.taps()));
+  for (float& w : cfg.weights) w = draw();
+  cfg.biases.resize(static_cast<std::size_t>(out_fm));
+  for (float& b : cfg.biases) b = draw();
+
+  // windows[pos][beat][port]
+  std::vector<std::vector<std::vector<Window>>> windows(
+      kPositions, std::vector<std::vector<Window>>(kBeats, std::vector<Window>(
+                                                              static_cast<std::size_t>(in_ports))));
+  SimContext ctx;
+  std::vector<Fifo<Window>*> ins;
+  for (int p = 0; p < in_ports; ++p) {
+    std::vector<Window> stream;
+    for (std::int64_t pos = 0; pos < kPositions; ++pos) {
+      for (std::int64_t g = 0; g < kBeats; ++g) {
+        Window& w = windows[pos][g][static_cast<std::size_t>(p)];
+        w.count = static_cast<std::uint16_t>(cfg.taps());
+        w.slot = static_cast<std::uint16_t>(g);
+        for (std::int64_t t = 0; t < cfg.taps(); ++t) w.taps[static_cast<std::size_t>(t)] = draw();
+        w.last_of_image = pos == kPositions - 1 && g == kBeats - 1;
+        stream.push_back(w);
+      }
+    }
+    auto& f = ctx.add_fifo<Window>("w" + std::to_string(p), 2);
+    ctx.add_process<VectorSource<Window>>("src" + std::to_string(p), f, std::move(stream));
+    ins.push_back(&f);
+  }
+  auto& out = ctx.add_fifo<Flit>("o", 2);
+  ctx.add_process<ConvCore>("conv", cfg, ins, std::vector<Fifo<Flit>*>{&out});
+  auto& sink = ctx.add_process<VectorSink<Flit>>("sink", out);
+  const auto total = static_cast<std::size_t>(kPositions * out_fm);
+  ctx.run_until([&] { return sink.count() == total; }, 1'000'000);
+  ASSERT_EQ(sink.count(), total);
+
+  std::vector<float> products;
+  for (std::int64_t pos = 0; pos < kPositions; ++pos) {
+    for (std::int64_t o = 0; o < out_fm; ++o) {
+      float acc = cfg.biases[static_cast<std::size_t>(o)];
+      for (std::int64_t g = 0; g < kBeats; ++g) {
+        products.clear();
+        for (int p = 0; p < in_ports; ++p) {
+          const Window& w = windows[pos][g][static_cast<std::size_t>(p)];
+          for (std::int64_t t = 0; t < cfg.taps(); ++t) {
+            products.push_back(cfg.weight(o, g * in_ports + p, t) *
+                               w.taps[static_cast<std::size_t>(t)]);
+          }
+        }
+        acc += tree_reduce(products);
+      }
+      const Flit& got = sink.tokens()[static_cast<std::size_t>(pos * out_fm + o)];
+      EXPECT_EQ(got.channel, o);
+      EXPECT_EQ(bits(got.data), bits(acc)) << "position " << pos << " output FM " << o;
+    }
+  }
+}
+
+// Product counts in_ports * k^2 include 1, odd counts (9, 25, 27, 49, 75,
+// 147) and 150; OUT_FM 1, 6 and 13 are not multiples of the lane width.
+INSTANTIATE_TEST_SUITE_P(Shapes, ConvCoreLanes,
+                         ::testing::Combine(::testing::Values<std::int64_t>(1, 6, 13, 36),
+                                            ::testing::Values(1, 3, 6),
+                                            ::testing::Values(1, 3, 5, 7)));
+
+TEST(ConvCoreTest, PresetLogitsEqualFunctionalModelBitForBit) {
+  for (const core::NetworkSpec& spec :
+       {core::make_usps_spec(), core::make_cifar_spec(), core::make_alexnet_mini_spec()}) {
+    Rng rng(17);
+    std::vector<Tensor> images;
+    for (int i = 0; i < 2; ++i) images.push_back(random_input(spec.input_shape, rng.next_u64()));
+    core::AcceleratorHarness harness(core::build_accelerator(spec));
+    const core::BatchResult got = harness.run_batch(images);
+    ASSERT_TRUE(got.ok()) << spec.name;
+    const core::FunctionalModel model(spec);
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const std::vector<float> want = model.infer(images[i]);
+      ASSERT_EQ(got.outputs[i].size(), want.size()) << spec.name;
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(bits(got.outputs[i][j]), bits(want[j])) << spec.name << " image " << i;
+      }
+    }
+  }
 }
 
 // --- PoolCore ----------------------------------------------------------------

@@ -401,7 +401,8 @@ T parse_flag_value(const char* flag, const char* text) {
   return value;
 }
 
-/// parse_flag_value for a count that must be at least 1 (replicas, boards).
+/// parse_flag_value for a count that must be at least 1 (replicas, boards,
+/// devices).
 std::size_t parse_count(const char* flag, const char* text) {
   const auto value = parse_flag_value<std::size_t>(flag, text);
   if (value == 0) throw BadFlagValue(std::string(flag) + " must be at least 1, got '0'");
@@ -619,7 +620,7 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "info") return cmd_info(load_design(design));
     if (cmd == "dot") {
-      const std::size_t batch = argc > 3 ? std::stoul(argv[3]) : 0;
+      const std::size_t batch = argc > 3 ? parse_flag_value<std::size_t>("batch", argv[3]) : 0;
       return cmd_dot(load_design(design), batch);
     }
     if (cmd == "simulate") {
@@ -643,11 +644,11 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
-          devices = std::stoul(argv[++i]);
+          devices = parse_count("--devices", argv[++i]);
         } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
-          link_gbps = std::stod(argv[++i]);
+          link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
         } else {
-          batch = std::stoul(argv[i]);
+          batch = parse_flag_value<std::size_t>("batch", argv[i]);
         }
       }
       if (devices > 1) {
@@ -732,11 +733,11 @@ int main(int argc, char** argv) {
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-          config.seed = std::stoull(argv[++i]);
+          config.seed = parse_flag_value<std::uint64_t>("--seed", argv[++i]);
         } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-          config.trials = std::stoul(argv[++i]);
+          config.trials = parse_flag_value<std::size_t>("--trials", argv[++i]);
         } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-          config.batch = std::stoul(argv[++i]);
+          config.batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else if (std::strcmp(argv[i], "--no-detect") == 0) {
           config.detection = false;
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -750,7 +751,7 @@ int main(int argc, char** argv) {
     if (cmd == "dse") return cmd_dse(design, argc > 3 ? argv[3] : "");
     if (cmd == "partition") {
       if (argc < 4) return usage();
-      return cmd_partition(load_design(design), std::stoul(argv[3]),
+      return cmd_partition(load_design(design), parse_count("boards", argv[3]),
                            argc > 4 ? argv[4] : "");
     }
     if (cmd == "multifpga") {
@@ -759,11 +760,11 @@ int main(int argc, char** argv) {
       std::size_t batch = 8;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
-          devices = std::stoul(argv[++i]);
+          devices = parse_count("--devices", argv[++i]);
         } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
-          link_gbps = std::stod(argv[++i]);
+          link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
         } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-          batch = std::stoul(argv[++i]);
+          batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else {
           return usage();
         }
@@ -775,11 +776,11 @@ int main(int argc, char** argv) {
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
-          options.devices = std::stoul(argv[++i]);
+          options.devices = parse_count("--devices", argv[++i]);
         } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-          options.batch = std::stoul(argv[++i]);
+          options.batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
-          options.link_gbps = std::stod(argv[++i]);
+          options.link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
           out_path = argv[++i];
         } else {
@@ -796,11 +797,11 @@ int main(int argc, char** argv) {
       std::string device_name;
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
-          devices = std::stoul(argv[++i]);
+          devices = parse_count("--devices", argv[++i]);
         } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
-          link_gbps = std::stod(argv[++i]);
+          link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
         } else if (std::strcmp(argv[i], "--credits") == 0 && i + 1 < argc) {
-          credits = std::stoi(argv[++i]);
+          credits = parse_flag_value<int>("--credits", argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0) {
           json = true;
         } else {
