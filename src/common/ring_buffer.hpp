@@ -26,19 +26,47 @@ class RingBuffer {
 
   /// Appends a copy of `value`; the buffer must not be full.
   void push(const T& value) {
-    DFC_ASSERT(!full(), "RingBuffer overflow");
-    storage_[tail_] = value;
-    tail_ = advance(tail_);
-    ++size_;
+    tail_slot() = value;
+    publish();
   }
 
   /// Removes and returns the oldest element; the buffer must not be empty.
   T pop() {
+    T value = std::move(front_mut());
+    drop_front();
+    return value;
+  }
+
+  /// The slot the next publish() appends, for building an element in place.
+  /// It holds whatever element last used it. The buffer must not be full.
+  T& tail_slot() {
+    DFC_ASSERT(!full(), "RingBuffer::tail_slot on full buffer");
+    return storage_[tail_];
+  }
+
+  /// Appends the element built in tail_slot(); the buffer must not be full.
+  void publish() {
+    DFC_ASSERT(!full(), "RingBuffer overflow");
+    tail_ = advance(tail_);
+    ++size_;
+  }
+
+  /// Removes the oldest element in place. Its slot keeps the contents until
+  /// a later publish() or push_front() reuses it.
+  void drop_front() {
     DFC_ASSERT(!empty(), "RingBuffer underflow");
-    T value = std::move(storage_[head_]);
     head_ = advance(head_);
     --size_;
-    return value;
+  }
+
+  /// Inserts a copy of `value` ahead of the oldest element, in the slot just
+  /// before it. The buffer must not be full.
+  void push_front(const T& value) {
+    DFC_ASSERT(!full(), "RingBuffer overflow");
+    const std::size_t slot = (head_ == 0 ? storage_.size() : head_) - 1;
+    storage_[slot] = value;
+    head_ = slot;
+    ++size_;
   }
 
   /// Oldest element without removing it.

@@ -13,6 +13,10 @@
 // capacity-1 FIFO (a single register with no skid buffer) sustains at most
 // one transfer every two cycles; inter-stage channels therefore default to
 // capacity >= 2 to stream at full rate.
+//
+// A hop copies no token: push_with() builds the element in the ring's tail
+// slot, commit() publishes it by advancing an index, and pop() hands the
+// consumer a reference into the ring (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -144,8 +148,8 @@ class FifoBase {
   bool fault_jammed() const { return fault_jammed_; }
 
   /// Flips payload bit `bit` of the element nearest the consumer (the visible
-  /// front, else the uncommitted pending slot). Returns false when nothing is
-  /// stored or the element type exposes no payload bits.
+  /// front, else the uncommitted element in the tail slot). Returns false when
+  /// nothing is stored or the element type exposes no payload bits.
   virtual bool fault_corrupt_payload(std::uint32_t bit) = 0;
 
   /// Discards the front element without a pop handshake (a lost flit). Its
@@ -154,7 +158,8 @@ class FifoBase {
   virtual bool fault_drop_front() = 0;
 
   /// Re-enqueues a bitwise copy of the front element (a beat delivered
-  /// twice). Refuses when no physical slot is free for the copy.
+  /// twice). Refuses when no physical slot is free for the copy, or while
+  /// this cycle's pop still holds the slot before the front.
   virtual bool fault_duplicate_front() = 0;
 
   /// Arms the checksum/range sidecar: every push records a payload checksum,
@@ -244,41 +249,47 @@ class Fifo final : public FifoBase {
     return !pushed_this_cycle_ && start_occupancy + pending_count_ < capacity_;
   }
 
-  /// Front element without consuming it (peek). Requires can_pop().
-  const T& front() const {
-    DFC_ASSERT(can_pop(), "Fifo::front without can_pop: " + name_);
-    return items_.front();
-  }
-
-  /// Consumes and returns the front element. Requires can_pop(). The guard
-  /// checks the element in place, so a caller that read it through front()
-  /// and discards the result pays for no copy.
-  T pop() {
+  /// Consumes the front element and returns it in place. Requires
+  /// can_pop(). The reference stays valid until this FIFO's next commit():
+  /// can_push() counts the popped element in the start-of-cycle occupancy,
+  /// so no push in the same cycle can land in its slot.
+  const T& pop() {
     DFC_ASSERT(can_pop(), "Fifo::pop without can_pop: " + name_);
     popped_this_cycle_ = true;
     ++stats_.pops;
     ++lifetime_.pops;
     mark_pending();
     trace_record(obs::EventKind::kPop);
-    if (guard_enabled_) guard_check(items_.front());
-    return items_.pop();
+    const T& value = items_.front();
+    if (guard_enabled_) guard_check(value);
+    items_.drop_front();
+    return value;
   }
 
-  /// Enqueues a copy of `value`; it becomes visible to consumers next
-  /// cycle. Requires can_push(). Taking a reference keeps a large token
-  /// (a Window) to one copy into the pending slot.
-  void push(const T& value) {
+  /// Builds the next element in place: `fill(T&)` writes it straight into
+  /// the ring's tail slot, and commit() publishes it to consumers next
+  /// cycle. Requires can_push(). The slot still holds the element that last
+  /// used it, so `fill` must write every field a consumer reads.
+  template <typename Fill>
+  void push_with(Fill&& fill) {
     DFC_ASSERT(can_push(), "Fifo::push without can_push: " + name_);
     pushed_this_cycle_ = true;
-    pending_ = value;
+    T& slot = items_.tail_slot();
+    fill(slot);
     pending_count_ = 1;
     if (guard_enabled_) {
-      pending_sum_ = guard_seq_mix(fault_payload_checksum(pending_), guard_push_seq_++);
+      pending_sum_ = guard_seq_mix(fault_payload_checksum(slot), guard_push_seq_++);
     }
     ++stats_.pushes;
     ++lifetime_.pushes;
     mark_pending();
     trace_record(obs::EventKind::kPush);
+  }
+
+  /// Enqueues a copy of `value`; it becomes visible to consumers next
+  /// cycle. Requires can_push().
+  void push(const T& value) {
+    push_with([&value](T& slot) { slot = value; });
   }
 
   /// Records that a producer wanted to push but could not (for stall stats).
@@ -293,7 +304,7 @@ class Fifo final : public FifoBase {
   bool commit() override {
     const bool active = pushed_this_cycle_ || popped_this_cycle_;
     if (pending_count_ > 0) {
-      items_.push(pending_);
+      items_.publish();
       pending_count_ = 0;
       if (guard_enabled_) guard_sums_.push_back(pending_sum_);
     }
@@ -320,7 +331,7 @@ class Fifo final : public FifoBase {
     if (!items_.empty()) {
       landed = fault_flip_payload_bit(items_.front_mut(), bit);
     } else if (pending_count_ > 0) {
-      landed = fault_flip_payload_bit(pending_, bit);
+      landed = fault_flip_payload_bit(items_.tail_slot(), bit);
     }
     if (landed) trace_record(obs::EventKind::kFaultInject, kFaultTraceBitFlip);
     return landed;
@@ -328,19 +339,19 @@ class Fifo final : public FifoBase {
 
   bool fault_drop_front() override {
     if (items_.empty()) return false;
-    (void)items_.pop();
+    items_.drop_front();
     if (guard_enabled_ && !guard_sums_.empty()) guard_sums_.pop_front();
     trace_record(obs::EventKind::kFaultInject, kFaultTraceDrop);
     return true;
   }
 
   bool fault_duplicate_front() override {
-    if (items_.empty() || items_.size() + pending_count_ >= capacity_) return false;
-    std::vector<T> held;
-    held.reserve(items_.size());
-    while (!items_.empty()) held.push_back(items_.pop());
-    items_.push(held.front());
-    for (const auto& v : held) items_.push(v);
+    // The copy goes into the slot just before the front, which this cycle's
+    // pop (if any) still holds.
+    if (items_.empty() || popped_this_cycle_ || items_.size() + pending_count_ >= capacity_) {
+      return false;
+    }
+    items_.push_front(items_.front());
     // The copy is bitwise faithful, so its sidecar entry is a copy too — a
     // duplicated beat evades pure per-flit parity. The sequence number mixed
     // into each checksum is what catches it: the original lands one pop
@@ -363,7 +374,8 @@ class Fifo final : public FifoBase {
     }
     guard_push_seq_ = static_cast<std::uint32_t>(items_.size());
     if (pending_count_ > 0) {
-      pending_sum_ = guard_seq_mix(fault_payload_checksum(pending_), guard_push_seq_++);
+      pending_sum_ =
+          guard_seq_mix(fault_payload_checksum(items_.tail_slot()), guard_push_seq_++);
     }
   }
 
@@ -400,8 +412,7 @@ class Fifo final : public FifoBase {
     }
   }
 
-  RingBuffer<T> items_;
-  T pending_{};
+  RingBuffer<T> items_;  ///< visible elements; a pending push sits in the tail slot
   std::size_t pending_count_ = 0;
   bool pushed_this_cycle_ = false;
   bool popped_this_cycle_ = false;

@@ -164,19 +164,17 @@ void ConvCore::try_gather() {
     }
   }
 
-  // Read one window per input port into the beat's input row, then pop it;
-  // port p at beat g carries input channel g*IN_PORTS + p under the
-  // round-robin interleave.
+  // Pop one window per input port and read it in place into the beat's
+  // input row; port p at beat g carries input channel g*IN_PORTS + p under
+  // the round-robin interleave.
   const std::size_t taps = static_cast<std::size_t>(cfg_.taps());
   bool last_of_image = false;
   for (int p = 0; p < cfg_.in_ports; ++p) {
-    auto* port = win_in_[static_cast<std::size_t>(p)];
-    const Window& w = port->front();
+    const Window& w = win_in_[static_cast<std::size_t>(p)]->pop();
     DFC_ASSERT(w.count == cfg_.taps(), "window tap count mismatch in " + name());
     DFC_ASSERT(w.slot == group_, "window slot out of order in " + name());
     std::copy_n(w.taps.data(), taps, row_.data() + static_cast<std::size_t>(p) * taps);
     last_of_image |= w.last_of_image;
-    port->pop();
   }
   worked_this_cycle_ = true;
 

@@ -15,7 +15,6 @@ WindowBuffer::WindowBuffer(std::string name, const WindowGeometry& geom,
       rows_(static_cast<std::size_t>(geom.channels * geom.kh * geom.in_w), 0.0f),
       abs_channel_(static_cast<std::size_t>(geom.channels), 0) {
   geom_.validate();
-  staged_.count = static_cast<std::uint16_t>(geom_.taps());
   emit_oy_ = geom_.origin_min();
   emit_ox_ = geom_.origin_min();
 }
@@ -47,32 +46,44 @@ void WindowBuffer::try_emit() {
     out_.note_full_stall();
     return;
   }
+  out_.push_with([this](Window& w) { build_window(w); });
+  advance_emit_cursor();
+}
 
-  // Only the live taps are rewritten: the staged window keeps its tap
-  // count, and taps past it stay zero from construction.
-  Window& w = staged_;
+void WindowBuffer::build_window(Window& w) const {
+  // `w` is a recycled ring slot. Every window of this port has the same tap
+  // count, and taps past it stay zero; a slot last used by a wider window
+  // has its extra taps cleared, so the token reads as if freshly built.
+  const auto count = static_cast<std::uint16_t>(geom_.taps());
+  if (w.count > count) std::fill(w.taps.begin() + count, w.taps.begin() + w.count, 0.0f);
+  w.count = count;
   w.slot = static_cast<std::uint16_t>(emit_slot_);
   w.abs_channel = abs_channel_[static_cast<std::size_t>(emit_slot_)];
   w.oy = static_cast<std::int32_t>(emit_oy_);
   w.ox = static_cast<std::int32_t>(emit_ox_);
   w.last_of_image = (emit_oy_ == geom_.last_origin_y()) && (emit_ox_ == geom_.last_origin_x()) &&
                     (emit_slot_ == geom_.channels - 1);
-  std::size_t i = 0;
-  for (int dy = 0; dy < geom_.kh; ++dy) {
+  const int kw = geom_.kw;
+  const bool cols_in_map = emit_ox_ >= 0 && emit_ox_ + kw <= geom_.in_w;
+  float* out = w.taps.data();
+  for (int dy = 0; dy < geom_.kh; ++dy, out += kw) {
     const std::int64_t y = emit_oy_ + dy;
     if (y < 0 || y >= geom_.in_h) {
-      for (int dx = 0; dx < geom_.kw; ++dx) w.taps[i++] = 0.0f;
+      std::fill_n(out, kw, 0.0f);
       continue;
     }
     const std::int64_t row_slot = emit_slot_ * geom_.kh + (y % geom_.kh);
     const float* row = &rows_[static_cast<std::size_t>(row_slot * geom_.in_w)];
-    for (int dx = 0; dx < geom_.kw; ++dx) {
+    if (cols_in_map) {
+      std::copy_n(row + emit_ox_, kw, out);
+      continue;
+    }
+    // Left or right padded edge: taps outside the map read as zero.
+    for (int dx = 0; dx < kw; ++dx) {
       const std::int64_t x = emit_ox_ + dx;
-      w.taps[i++] = (x < 0 || x >= geom_.in_w) ? 0.0f : row[x];
+      out[dx] = (x < 0 || x >= geom_.in_w) ? 0.0f : row[x];
     }
   }
-  out_.push(w);
-  advance_emit_cursor();
 }
 
 void WindowBuffer::advance_emit_cursor() {

@@ -48,6 +48,8 @@ class WindowBuffer final : public dfc::df::Process {
  private:
   bool emit_data_ready() const;
   void try_emit();
+  /// Writes the cursor window into `w`, the output FIFO's tail slot.
+  void build_window(Window& w) const;
   void try_consume();
   void advance_emit_cursor();
 
@@ -59,8 +61,6 @@ class WindowBuffer final : public dfc::df::Process {
   std::vector<float> rows_;
   // Absolute channel metadata captured per slot from the incoming flits.
   std::vector<std::int32_t> abs_channel_;
-  // The window try_emit assembles and pushes.
-  Window staged_;
 
   // Write cursor within the current input image (channel-innermost order).
   std::int64_t cur_y_ = 0;

@@ -1,12 +1,16 @@
-// Unit tests for the simulation kernel: registered FIFO semantics, two-phase
-// scheduling, backpressure, deadlock detection and end-to-end pipelines.
+// Unit tests for the simulation kernel: registered FIFO semantics, the
+// copy-free token hop, two-phase scheduling, backpressure, deadlock
+// detection and end-to-end pipelines.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <deque>
 
+#include "axis/flit.hpp"
 #include "dataflow/endpoints.hpp"
 #include "dataflow/fifo.hpp"
 #include "dataflow/sim_context.hpp"
+#include "sst/window_buffer.hpp"
 
 namespace dfc::df {
 namespace {
@@ -87,6 +91,158 @@ TEST(FifoTest, ResetClearsContentsNotStats) {
   f.reset();
   EXPECT_EQ(f.size(), 0u);
   EXPECT_EQ(f.stats().pushes, 1u);
+}
+
+// --- The token hop: build in the tail slot, publish at commit, read in place --
+
+/// A token large enough that a stray overwrite of its slot shows.
+struct Token {
+  std::array<int, 16> v{};
+  bool operator==(const Token&) const = default;
+};
+
+Token make_token(int x) {
+  Token t;
+  t.v.fill(x);
+  return t;
+}
+
+/// Rotates the empty FIFO's ring head by `rotate` slots, then fills it with
+/// `fill` tokens valued 100, 101, ...
+void rotate_and_fill(Fifo<Token>& f, std::size_t rotate, std::size_t fill) {
+  for (std::size_t i = 0; i < rotate; ++i) {
+    f.push(make_token(-1));
+    f.commit();
+    (void)f.pop();
+    f.commit();
+  }
+  for (std::size_t i = 0; i < fill; ++i) {
+    f.push(make_token(100 + static_cast<int>(i)));
+    f.commit();
+  }
+}
+
+class FifoHopCapacityTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FifoHopCapacityTest, PoppedReferenceUnchangedBySameCyclePush) {
+  const std::size_t cap = GetParam();
+  for (std::size_t rotate = 0; rotate < cap; ++rotate) {
+    for (std::size_t fill = 1; fill <= cap; ++fill) {
+      Fifo<Token> f("hop", cap);
+      rotate_and_fill(f, rotate, fill);
+      const Token& popped = f.pop();
+      ASSERT_EQ(popped, make_token(100));
+      // A pop frees its slot only at commit, so a full FIFO refuses the push.
+      EXPECT_EQ(f.can_push(), fill < cap) << "rotate " << rotate << " fill " << fill;
+      if (f.can_push()) f.push(make_token(999));
+      EXPECT_EQ(popped, make_token(100)) << "rotate " << rotate << " fill " << fill;
+      f.commit();
+      EXPECT_EQ(popped, make_token(100)) << "valid until the next commit";
+    }
+  }
+}
+
+TEST_P(FifoHopCapacityTest, PushInPopCycleNeverLandsInPoppedSlot) {
+  const std::size_t cap = GetParam();
+  for (std::size_t rotate = 0; rotate < cap; ++rotate) {
+    for (std::size_t fill = 1; fill < cap; ++fill) {
+      Fifo<Token> f("hop", cap);
+      rotate_and_fill(f, rotate, fill);
+      const Token* popped = &f.pop();
+      const Token* built = nullptr;
+      ASSERT_TRUE(f.can_push());
+      f.push_with([&](Token& slot) {
+        built = &slot;
+        slot = make_token(999);
+      });
+      EXPECT_NE(built, popped) << "rotate " << rotate << " fill " << fill;
+      f.commit();
+      // FIFO order is intact: the rest of the fill, then the new token.
+      for (std::size_t i = 1; i < fill; ++i) {
+        ASSERT_TRUE(f.can_pop());
+        EXPECT_EQ(f.pop(), make_token(100 + static_cast<int>(i)));
+        f.commit();
+      }
+      ASSERT_TRUE(f.can_pop());
+      EXPECT_EQ(f.pop(), make_token(999));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, FifoHopCapacityTest, ::testing::Values(1, 2, 3));
+
+TEST(FifoHopTest, PushWithBuildsInTheTailSlotAndPublishesAtCommit) {
+  Fifo<Token> f("hop", 2);
+  f.push_with([](Token& slot) { slot = make_token(7); });
+  EXPECT_EQ(f.size(), 1u);     // pending counts toward occupancy
+  EXPECT_FALSE(f.can_pop());   // but is not visible before commit
+  EXPECT_FALSE(f.can_push());  // one write port
+  EXPECT_TRUE(f.commit());
+  ASSERT_TRUE(f.can_pop());
+  EXPECT_EQ(f.pop(), make_token(7));
+  EXPECT_EQ(f.stats().pushes, 1u);
+}
+
+/// Drives a WindowBuffer by hand: one flit offered, windows drained and both
+/// FIFOs committed every cycle. Returns the windows in emission order.
+std::vector<sst::Window> drain_window_buffer(const sst::WindowGeometry& g,
+                                             Fifo<sst::Window>& out) {
+  Fifo<axis::Flit> in("in", 2);
+  sst::WindowBuffer wb("wb", g, in, out);
+  const auto want = static_cast<std::size_t>(g.windows_per_image());
+  const std::int64_t pixels = g.values_per_image();
+  std::vector<sst::Window> got;
+  std::int64_t next = 0;
+  for (int cycle = 0; got.size() < want && cycle < 10'000; ++cycle) {
+    if (out.can_pop()) got.push_back(out.pop());
+    if (next < pixels && in.can_push()) {
+      axis::Flit flit;
+      flit.data = static_cast<float>(next + 1);
+      in.push(flit);
+      ++next;
+    }
+    wb.on_clock();
+    in.commit();
+    out.commit();
+  }
+  return got;
+}
+
+TEST(FifoHopTest, TapsPastCountNeverLeakIntoWindowsBuiltInPlace) {
+  // Every ring slot last held a full 64-tap window of 7s; the 3x3 windows
+  // the buffer builds over them must read as freshly built ones.
+  Fifo<sst::Window> out("win", 3);
+  sst::Window wide;
+  wide.count = sst::WindowGeometry::kMaxTaps;
+  wide.taps.fill(7.0f);
+  for (std::size_t i = 0; i < out.capacity(); ++i) {
+    out.push(wide);
+    out.commit();
+    (void)out.pop();
+    out.commit();
+  }
+  sst::WindowGeometry g;
+  g.in_w = 5;
+  g.in_h = 4;
+  g.kh = g.kw = 3;
+  g.pad = 1;  // padded edges take the per-tap path, interior rows one copy
+  const auto windows = drain_window_buffer(g, out);
+  ASSERT_EQ(windows.size(), static_cast<std::size_t>(g.windows_per_image()));
+  for (const sst::Window& w : windows) {
+    ASSERT_EQ(w.count, 9);
+    for (int dy = 0; dy < 3; ++dy) {
+      for (int dx = 0; dx < 3; ++dx) {
+        const std::int64_t y = w.oy + dy;
+        const std::int64_t x = w.ox + dx;
+        const bool inside = y >= 0 && y < g.in_h && x >= 0 && x < g.in_w;
+        EXPECT_EQ(w.tap(dy, dx, 3), inside ? static_cast<float>(y * g.in_w + x + 1) : 0.0f)
+            << "window (" << w.oy << ", " << w.ox << ") tap (" << dy << ", " << dx << ")";
+      }
+    }
+    for (std::size_t t = w.count; t < w.taps.size(); ++t) {
+      EXPECT_EQ(w.taps[t], 0.0f) << "window (" << w.oy << ", " << w.ox << ") tap " << t;
+    }
+  }
 }
 
 TEST(SimContextTest, SourceToSinkTransfersEverythingInOrder) {

@@ -18,6 +18,7 @@
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
+#include "sst/window_buffer.hpp"
 
 namespace dfc::fault {
 namespace {
@@ -131,6 +132,130 @@ TEST(FifoFaultTest, DuplicateRefusesWhenFull) {
   f.commit();
   EXPECT_FALSE(f.fault_duplicate_front());  // no physical slot for the copy
   EXPECT_EQ(f.size(), 2u);
+}
+
+// --- the hooks with an element pending in the ring's tail slot -----------------
+
+TEST(FifoFaultTest, CorruptLandsOnPendingTailSlotAndIsDetected) {
+  df::Fifo<axis::Flit> f("t", 2);
+  f.enable_integrity_guard(nullptr, 1e6f);
+  axis::Flit flit;
+  flit.data = 1.0f;
+  f.push(flit);  // pending: nothing visible yet
+  ASSERT_TRUE(f.fault_corrupt_payload(30));
+  f.commit();
+  EXPECT_NE(f.pop().data, 1.0f);
+  f.commit();
+  EXPECT_EQ(f.guard_checksum_errors(), 1u);
+}
+
+TEST(FifoFaultTest, DropKeepsPendingTailElement) {
+  df::Fifo<int> f("t", 4);
+  for (int i = 0; i < 2; ++i) {
+    f.push(10 + i);
+    f.commit();
+  }
+  f.push(12);  // pending
+  ASSERT_TRUE(f.fault_drop_front());
+  EXPECT_EQ(f.size(), 2u);
+  f.commit();
+  EXPECT_EQ(f.pop(), 11);
+  f.commit();
+  EXPECT_EQ(f.pop(), 12);
+}
+
+TEST(FifoFaultTest, DuplicateKeepsPendingTailElement) {
+  df::Fifo<int> f("t", 4);
+  f.enable_integrity_guard(nullptr, 0.0f);
+  for (int i = 0; i < 2; ++i) {
+    f.push(10 + i);
+    f.commit();
+  }
+  f.push(12);  // pending
+  ASSERT_TRUE(f.fault_duplicate_front());
+  EXPECT_EQ(f.size(), 4u);
+  f.commit();
+  for (const int want : {10, 10, 11, 12}) {
+    ASSERT_TRUE(f.can_pop());
+    EXPECT_EQ(f.pop(), want);
+    f.commit();
+  }
+  // The displaced original fails the sequence check once; the latch keeps
+  // later pops from adding reports.
+  EXPECT_EQ(f.guard_checksum_errors(), 1u);
+}
+
+TEST(FifoFaultTest, DuplicateRefusesTheLastSlotWhenItHoldsThePendingElement) {
+  df::Fifo<int> f("t", 3);
+  for (int i = 0; i < 2; ++i) {
+    f.push(10 + i);
+    f.commit();
+  }
+  f.push(12);  // pending in the only free slot
+  EXPECT_FALSE(f.fault_duplicate_front());
+  f.commit();
+  for (const int want : {10, 11, 12}) {
+    EXPECT_EQ(f.pop(), want);
+    f.commit();
+  }
+}
+
+TEST(FifoFaultTest, DuplicateRefusesWhileThisCyclesPopHoldsTheSlot) {
+  df::Fifo<int> f("t", 4);
+  for (int i = 0; i < 2; ++i) {
+    f.push(10 + i);
+    f.commit();
+  }
+  const int& popped = f.pop();
+  EXPECT_FALSE(f.fault_duplicate_front());
+  EXPECT_EQ(popped, 10);
+  f.commit();
+  EXPECT_TRUE(f.fault_duplicate_front());  // the next cycle the slot is free
+}
+
+TEST(FifoFaultTest, GuardedWindowFifoFilledInPlaceReportsFlippedTap) {
+  // A WindowBuffer builds each window in the guarded FIFO's tail slot; the
+  // guard checksums the slot after the fill, so a flip that lands on the
+  // pending window, or on one already visible, is still reported.
+  for (const bool flip_pending : {true, false}) {
+    sst::WindowGeometry g;
+    g.in_w = g.in_h = 4;
+    g.kh = g.kw = 2;
+    g.stride_x = g.stride_y = 2;
+    df::Fifo<axis::Flit> in("in", 2);
+    df::Fifo<sst::Window> out("win", 2);
+    out.enable_integrity_guard(nullptr, 1e6f);
+    sst::WindowBuffer wb("wb", g, in, out);
+    std::vector<sst::Window> got;
+    bool flipped = false;
+    // Bit 30 is an exponent bit of tap 0.
+    for (int cycle = 0; got.size() < 4 && cycle < 1000; ++cycle) {
+      if (!flipped && !flip_pending && out.can_pop()) {
+        ASSERT_TRUE(out.fault_corrupt_payload(30));
+        flipped = true;
+      }
+      if (out.can_pop()) got.push_back(out.pop());
+      if (in.can_push() && in.stats().pushes < 16) {
+        axis::Flit flit;
+        flit.data = static_cast<float>(in.stats().pushes + 1);
+        in.push(flit);
+      }
+      const std::uint64_t before = out.stats().pushes;
+      wb.on_clock();
+      if (!flipped && flip_pending && out.stats().pushes > before) {
+        ASSERT_TRUE(out.fault_corrupt_payload(30));
+        flipped = true;
+      }
+      in.commit();
+      out.commit();
+    }
+    ASSERT_TRUE(flipped);
+    ASSERT_EQ(got.size(), 4u);
+    EXPECT_EQ(out.guard_checksum_errors(), 1u) << "flip_pending " << flip_pending;
+    // Window 0 covers pixels 1, 2, 5, 6; the flip changed its tap 0.
+    EXPECT_NE(got[0].taps[0], 1.0f);
+    EXPECT_EQ(got[0].taps[1], 2.0f);
+  }
 }
 
 TEST(FifoFaultTest, GuardIsPassiveOnCleanTraffic) {

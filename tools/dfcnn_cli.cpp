@@ -40,7 +40,8 @@
 //                                            S is a comma list of arrival
 //                                            shapes (poisson | uniform |
 //                                            diurnal | bursty), one scenario
-//                                            each
+//                                            each; --nodes takes 1..4096,
+//                                            --requests 1..1000000
 //   dfcnn faults    <design> [--seed S] [--trials N] [--batch B]
 //                   [--no-detect] [--out faults.csv]
 //                                            fault-injection campaign: random
@@ -78,23 +79,19 @@
 // virtex7-485t (default) | virtex7-330t | kintex7-325t.
 //
 // Exit codes: 0 success, 1 a library error (bad design, failed check), 2 a
-// usage error (unknown command; a numeric argument of `simulate`, `serve` or
-// `cluster` that is not a non-negative number; zero serve replicas or
-// boards).
+// usage error (unknown command or flag; a flag missing its value; a numeric
+// argument that is not a non-negative number or exceeds its bound; zero
+// replicas, boards or devices).
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/service_table.hpp"
 #include "common/metrics.hpp"
@@ -118,6 +115,11 @@
 namespace {
 
 using namespace dfc;
+using cli::parse_flag_value;
+using cli::positional_arg;
+using cli::unexpected_argument;
+using cli::UsageError;
+using cli::value_flag;
 
 int usage() {
   std::fprintf(stderr,
@@ -140,7 +142,8 @@ int usage() {
                "  cluster: dfcnn cluster <design> [--nodes N=4] [--policy "
                "round-robin|least-loaded|weighted]\n"
                "           [--shape diurnal,bursty] [--requests N=40000] [--rate R=2000000]\n"
-               "           [--seed S=7] [--out report.json]\n"
+               "           [--seed S=7] [--out report.json]   (--nodes 1..4096,\n"
+               "           --requests 1..1000000)\n"
                "  profile: dfcnn profile <design> [--devices N=1] [--batch B=16]\n"
                "           [--link-gbps X=3.2] [--out report.json]\n"
                "  faults:  dfcnn faults <design> [--seed S=1] [--trials N=64] [--batch B=4]\n"
@@ -368,44 +371,12 @@ serve::ArrivalProcess parse_shape(const std::string& name) {
   throw ConfigError("unknown arrival shape '" + name + "'");
 }
 
-/// A numeric flag whose value is not a non-negative number: a usage error
-/// (exit 2), kept apart from dfc::Error so it never reads as a sim failure.
-struct BadFlagValue : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Parses the value of `flag`: the whole string must be a non-negative
-/// decimal integer (integral T) or a finite non-negative number (floating T).
-template <typename T>
-T parse_flag_value(const char* flag, const char* text) {
-  auto bad = [&] {
-    const char* what = std::is_integral_v<T> ? "a non-negative integer" : "a non-negative number";
-    return BadFlagValue(std::string(flag) + " expects " + what + ", got '" + text + "'");
-  };
-  // A leading digit rules out signs, whitespace, "inf" and "nan" up front.
-  if (text[0] < '0' || text[0] > '9') throw bad();
-  char* end = nullptr;
-  errno = 0;
-  T value{};
-  if constexpr (std::is_integral_v<T>) {
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno == ERANGE || v > static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
-      throw bad();
-    }
-    value = static_cast<T>(v);
-  } else {
-    value = static_cast<T>(std::strtod(text, &end));
-    if (errno == ERANGE || !std::isfinite(value)) throw bad();
-  }
-  if (*end != '\0') throw bad();
-  return value;
-}
-
 /// parse_flag_value for a count that must be at least 1 (replicas, boards,
-/// devices).
-std::size_t parse_count(const char* flag, const char* text) {
-  const auto value = parse_flag_value<std::size_t>(flag, text);
-  if (value == 0) throw BadFlagValue(std::string(flag) + " must be at least 1, got '0'");
+/// devices, cluster nodes and requests).
+std::size_t parse_count(const char* flag, const char* text,
+                        std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  const auto value = parse_flag_value<std::size_t>(flag, text, max);
+  if (value == 0) throw UsageError(std::string(flag) + " must be at least 1, got '0'");
   return value;
 }
 
@@ -444,10 +415,18 @@ cluster::ClusterConfig reference_cluster_config(const core::NetworkSpec& spec,
   return config;
 }
 
+/// Upper bounds of `dfcnn cluster --nodes` and `--requests`, checked while
+/// parsing so an oversized run is refused before any fleet or load is
+/// allocated. They are 4x the largest fleet and 10x the request count of
+/// EXPERIMENTS.md X7 (1,024 nodes, 100,000 requests per shape); weighted
+/// routing costs O(nodes) per request, and the plan keeps an outcome record
+/// for every request.
+constexpr std::size_t kMaxClusterNodes = 4096;
+constexpr std::size_t kMaxClusterRequests = 1'000'000;
+
 int cmd_cluster(const core::NetworkSpec& spec, std::size_t nodes, cluster::RoutePolicy policy,
                 const std::vector<serve::ArrivalProcess>& shapes, std::size_t requests,
                 double rate_rps, std::uint64_t seed, const std::string& out_path) {
-  DFC_REQUIRE(nodes > 0, "--nodes must be positive");
   DFC_REQUIRE(!shapes.empty(), "--shape needs at least one arrival shape");
   cluster::ClusterConfig config = reference_cluster_config(spec, nodes, policy);
   cluster::Cluster fleet(spec, config);
@@ -620,7 +599,8 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "info") return cmd_info(load_design(design));
     if (cmd == "dot") {
-      const std::size_t batch = argc > 3 ? parse_flag_value<std::size_t>("batch", argv[3]) : 0;
+      const std::size_t batch =
+          argc > 3 ? parse_flag_value<std::size_t>("batch", positional_arg(argv[3])) : 0;
       return cmd_dot(load_design(design), batch);
     }
     if (cmd == "simulate") {
@@ -630,7 +610,7 @@ int main(int argc, char** argv) {
         if (std::strcmp(argv[i], "--compiled") == 0) {
           compiled = true;
         } else {
-          batch = parse_flag_value<std::size_t>("batch", argv[i]);
+          batch = parse_flag_value<std::size_t>("batch", positional_arg(argv[i]));
         }
       }
       return cmd_simulate(load_design(design), batch, compiled);
@@ -641,14 +621,14 @@ int main(int argc, char** argv) {
       double link_gbps = 3.2;
       std::string out_path = "trace.json";
       for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        if (value_flag(argc, argv, i, "--out")) {
           out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--devices")) {
           devices = parse_count("--devices", argv[++i]);
-        } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--link-gbps")) {
           link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
         } else {
-          batch = parse_flag_value<std::size_t>("batch", argv[i]);
+          batch = parse_flag_value<std::size_t>("batch", positional_arg(argv[i]));
         }
       }
       if (devices > 1) {
@@ -666,16 +646,16 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--metrics") == 0) {
           metrics = true;
-        } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--seed")) {
           seed = parse_flag_value<std::uint64_t>("--seed", argv[++i]);
-        } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--rate")) {
           flag_rate = parse_flag_value<double>("--rate", argv[++i]);
-        } else if (std::strcmp(argv[i], "--boards") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--boards")) {
           boards = parse_count("--boards", argv[++i]);
-        } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--trace")) {
           trace_path = argv[++i];
         } else {
-          positional.emplace_back(argv[i]);
+          positional.emplace_back(positional_arg(argv[i]));
         }
       }
       const std::size_t requests =
@@ -698,22 +678,22 @@ int main(int argc, char** argv) {
       std::uint64_t seed = 7;
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-          nodes = parse_flag_value<std::size_t>("--nodes", argv[++i]);
-        } else if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
+        if (value_flag(argc, argv, i, "--nodes")) {
+          nodes = parse_count("--nodes", argv[++i], kMaxClusterNodes);
+        } else if (value_flag(argc, argv, i, "--policy")) {
           policy = argv[++i];
-        } else if (std::strcmp(argv[i], "--shape") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--shape")) {
           shape_list = argv[++i];
-        } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-          requests = parse_flag_value<std::size_t>("--requests", argv[++i]);
-        } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--requests")) {
+          requests = parse_count("--requests", argv[++i], kMaxClusterRequests);
+        } else if (value_flag(argc, argv, i, "--rate")) {
           rate = parse_flag_value<double>("--rate", argv[++i]);
-        } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--seed")) {
           seed = parse_flag_value<std::uint64_t>("--seed", argv[++i]);
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--out")) {
           out_path = argv[++i];
         } else {
-          return usage();
+          throw unexpected_argument(argv[i]);
         }
       }
       std::vector<serve::ArrivalProcess> shapes;
@@ -732,41 +712,41 @@ int main(int argc, char** argv) {
       fault::CampaignConfig config;
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+        if (value_flag(argc, argv, i, "--seed")) {
           config.seed = parse_flag_value<std::uint64_t>("--seed", argv[++i]);
-        } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--trials")) {
           config.trials = parse_flag_value<std::size_t>("--trials", argv[++i]);
-        } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--batch")) {
           config.batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else if (std::strcmp(argv[i], "--no-detect") == 0) {
           config.detection = false;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--out")) {
           out_path = argv[++i];
         } else {
-          return usage();
+          throw unexpected_argument(argv[i]);
         }
       }
       return cmd_faults(load_design(design), config, out_path);
     }
-    if (cmd == "dse") return cmd_dse(design, argc > 3 ? argv[3] : "");
+    if (cmd == "dse") return cmd_dse(design, argc > 3 ? positional_arg(argv[3]) : "");
     if (cmd == "partition") {
       if (argc < 4) return usage();
-      return cmd_partition(load_design(design), parse_count("boards", argv[3]),
-                           argc > 4 ? argv[4] : "");
+      return cmd_partition(load_design(design), parse_count("boards", positional_arg(argv[3])),
+                           argc > 4 ? positional_arg(argv[4]) : "");
     }
     if (cmd == "multifpga") {
       std::size_t devices = 2;
       double link_gbps = 3.2;
       std::size_t batch = 8;
       for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
+        if (value_flag(argc, argv, i, "--devices")) {
           devices = parse_count("--devices", argv[++i]);
-        } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--link-gbps")) {
           link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
-        } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--batch")) {
           batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else {
-          return usage();
+          throw unexpected_argument(argv[i]);
         }
       }
       return cmd_multifpga(load_design(design), devices, link_gbps, batch);
@@ -775,16 +755,16 @@ int main(int argc, char** argv) {
       report::ProfileOptions options;
       std::string out_path;
       for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
+        if (value_flag(argc, argv, i, "--devices")) {
           options.devices = parse_count("--devices", argv[++i]);
-        } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--batch")) {
           options.batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
-        } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--link-gbps")) {
           options.link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--out")) {
           out_path = argv[++i];
         } else {
-          return usage();
+          throw unexpected_argument(argv[i]);
         }
       }
       return cmd_profile(load_design(design), options, out_path);
@@ -796,16 +776,16 @@ int main(int argc, char** argv) {
       bool json = false;
       std::string device_name;
       for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
+        if (value_flag(argc, argv, i, "--devices")) {
           devices = parse_count("--devices", argv[++i]);
-        } else if (std::strcmp(argv[i], "--link-gbps") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--link-gbps")) {
           link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
-        } else if (std::strcmp(argv[i], "--credits") == 0 && i + 1 < argc) {
+        } else if (value_flag(argc, argv, i, "--credits")) {
           credits = parse_flag_value<int>("--credits", argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0) {
           json = true;
         } else {
-          device_name = argv[i];
+          device_name = positional_arg(argv[i]);
         }
       }
       return cmd_check(load_design(design), devices, link_gbps, credits, json, device_name);
@@ -816,7 +796,7 @@ int main(int argc, char** argv) {
       std::printf("saved %s design to %s\n", design.c_str(), argv[3]);
       return 0;
     }
-  } catch (const BadFlagValue& e) {
+  } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const dfc::Error& e) {

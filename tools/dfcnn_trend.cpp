@@ -13,12 +13,12 @@
 //       the given fraction — CI uses it to prove the gate actually fails.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/service_table.hpp"
 #include "common/error.hpp"
@@ -160,12 +160,12 @@ int main(int argc, char** argv) {
       std::string label = "snapshot";
       std::string out_path;
       for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
+        if (cli::value_flag(argc, argv, i, "--label")) {
           label = argv[++i];
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        } else if (cli::value_flag(argc, argv, i, "--out")) {
           out_path = argv[++i];
         } else {
-          return usage();
+          throw cli::unexpected_argument(argv[i]);
         }
       }
       const report::TrendSnapshot snap = measure_benches(label);
@@ -187,16 +187,16 @@ int main(int argc, char** argv) {
       double max_regress = 0.10;
       double simulate = 0.0;
       for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
+        if (cli::value_flag(argc, argv, i, "--baseline")) {
           baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--current") == 0 && i + 1 < argc) {
+        } else if (cli::value_flag(argc, argv, i, "--current")) {
           current_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--max-regress") == 0 && i + 1 < argc) {
-          max_regress = std::stod(argv[++i]);
-        } else if (std::strcmp(argv[i], "--simulate-regression") == 0 && i + 1 < argc) {
-          simulate = std::stod(argv[++i]);
+        } else if (cli::value_flag(argc, argv, i, "--max-regress")) {
+          max_regress = cli::parse_flag_value<double>("--max-regress", argv[++i]);
+        } else if (cli::value_flag(argc, argv, i, "--simulate-regression")) {
+          simulate = cli::parse_flag_value<double>("--simulate-regression", argv[++i]);
         } else {
-          return usage();
+          throw cli::unexpected_argument(argv[i]);
         }
       }
       if (baseline_path.empty()) return usage();
@@ -216,6 +216,9 @@ int main(int argc, char** argv) {
       std::printf("%s", cmp.render().c_str());
       return cmp.ok ? 0 : 1;
     }
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const dfc::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
