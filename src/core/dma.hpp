@@ -89,7 +89,7 @@ class DmaSource final : public dfc::df::Process {
   void reset() override;
   bool done() const override { return buffer_.empty(); }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&out_}; }
+  dfc::df::Ports ports() const override { return {{}, {&out_}}; }
 
   /// Queues an image for streaming (CHW tensor, sent pixel-major with
   /// channels interleaved — the single-port stream format).
@@ -128,13 +128,16 @@ class DmaSink final : public dfc::df::Process {
   void on_clock() override;
   void reset() override;
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_}; }
+  dfc::df::Ports ports() const override { return {{&in_}, {}}; }
 
   bool wants_bus(std::uint64_t now) const {
     return now >= next_recv_cycle_ && in_.can_pop();
   }
 
   std::uint64_t images_completed() const { return completion_cycles_.size(); }
+
+  /// Words the sink waits for before it closes an image.
+  std::int64_t values_per_image() const { return values_per_image_; }
 
   /// Cycle at which image i's last output word arrived.
   const std::vector<std::uint64_t>& completion_cycles() const { return completion_cycles_; }

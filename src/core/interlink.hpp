@@ -173,7 +173,7 @@ class InterLinkTx final : public dfc::df::Process {
   void reset() override;
   bool done() const override { return !in_.can_pop(); }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_}; }
+  dfc::df::Ports ports() const override { return {{&in_}, {}}; }
 
   /// Cross-context wakeup: the wire calls this when a credit return lands on
   /// it from the receiver's clock domain.
@@ -217,7 +217,7 @@ class InterLinkRx final : public dfc::df::Process {
   void reset() override { words_ = 0; }
   bool done() const override { return !wire_.has_data(); }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&out_}; }
+  dfc::df::Ports ports() const override { return {{}, {&out_}}; }
 
   /// Cross-context wakeup: the wire calls this when the transmitter launches
   /// a flit from the sender's clock domain.

@@ -22,9 +22,8 @@ struct LinkModel {
   int latency_cycles = 40;  ///< serializer + wire + deserializer traversal
   int cycles_per_word = 4;  ///< accept rate (4 => 100 MB/s at 100 MHz/32-bit)
 
-  void validate() const {
-    DFC_REQUIRE(latency_cycles >= 1 && cycles_per_word >= 1, "invalid link model");
-  }
+  bool valid() const { return latency_cycles >= 1 && cycles_per_word >= 1; }
+  void validate() const { DFC_REQUIRE(valid(), "invalid link model"); }
 };
 
 class LinkChannel final : public dfc::df::Process {
@@ -36,7 +35,7 @@ class LinkChannel final : public dfc::df::Process {
   void reset() override;
   bool done() const override { return in_flight_.empty(); }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_, &out_}; }
+  dfc::df::Ports ports() const override { return {{&in_}, {&out_}}; }
 
   std::uint64_t words_transferred() const { return words_; }
 

@@ -3,6 +3,8 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "hlscore/fcn_core.hpp"
+#include "sst/window.hpp"
 
 namespace dfc::core {
 
@@ -62,11 +64,53 @@ std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
     return out;
   }
 
+  // Every extent stays small enough that volumes, weight-table sizes and
+  // FLOP counts cannot overflow int64.
+  constexpr std::int64_t kMaxExtent = std::int64_t{1} << 16;
+  const auto extents_fit = [&](const std::string& where, const std::string& what,
+                               std::initializer_list<std::int64_t> extents) {
+    for (std::int64_t e : extents) {
+      if (e < 1 || e > kMaxExtent) {
+        out.push_back({Code::DF101, where,
+                       what + " must be 1.." + std::to_string(kMaxExtent) + " in every extent"});
+        return false;
+      }
+    }
+    return true;
+  };
+
   Shape3 shape = spec.input_shape;
-  if (shape.c <= 0 || shape.h <= 0 || shape.w <= 0) {
-    out.push_back({Code::DF101, "network", "input shape " + shape.str() + " is not positive"});
+  if (!extents_fit("network", "input shape " + shape.str(), {shape.c, shape.h, shape.w})) {
     return out;
   }
+  if (!spec.latency.valid()) {
+    out.push_back({Code::DF101, "network",
+                   "operator latencies (fmul " + std::to_string(spec.latency.fmul) + ", fadd " +
+                       std::to_string(spec.latency.fadd) + ") must be 1.." +
+                       std::to_string(OpLatency::kMax) + " cycles"});
+  }
+
+  // A window must fit the core's tap registers and the (padded) input.
+  const auto window_fits = [&](const std::string& where, const Shape3& in, int kh, int kw,
+                               int pad) {
+    const std::string window = std::to_string(kh) + "x" + std::to_string(kw);
+    std::string why;
+    if (std::int64_t{kh} * kw > dfc::sst::WindowGeometry::kMaxTaps) {
+      why = "window " + window + " has more than " +
+            std::to_string(dfc::sst::WindowGeometry::kMaxTaps) + " taps";
+    } else if (pad >= kh || pad >= kw) {
+      why = "padding " + std::to_string(pad) + " must be below the " + window + " window";
+    } else if (kh > in.h + 2 * std::int64_t{pad} || kw > in.w + 2 * std::int64_t{pad}) {
+      why = "window " + window + " does not fit the padded " + in.str() + " input";
+    }
+    if (!why.empty()) out.push_back({Code::DF101, where, why});
+    return why.empty();
+  };
+  // Words the memory structures buffer: kh rows of every channel per layer.
+  // Past 2^24 (more on-chip RAM than any FPGA has) the builder's line
+  // buffers would exhaust the host instead.
+  constexpr std::int64_t kMaxBufferedWords = std::int64_t{1} << 24;
+  std::int64_t buffered_words = 0;
 
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {
     const auto& layer = spec.layers[i];
@@ -77,11 +121,18 @@ std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
         out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
                                                " got " + conv->in_shape.str()});
       }
+      const Shape3& in = conv->in_shape;
+      if (!extents_fit(where, "input shape " + in.str() + " and OUT_FM",
+                       {in.c, in.h, in.w, conv->out_fm})) {
+        return out;
+      }
       if (conv->kh <= 0 || conv->kw <= 0 || conv->stride <= 0 || conv->pad < 0) {
         out.push_back({Code::DF101, where, "kernel and stride must be positive, padding not "
                                            "negative"});
         return out;  // the output shape is undefined
       }
+      if (!window_fits(where, in, conv->kh, conv->kw, conv->pad)) return out;
+      buffered_words += in.c * conv->kh * in.w;
       if (conv->in_ports <= 0 || conv->out_ports <= 0) {
         out.push_back({Code::DF102, where, "port counts must be positive"});
         shape = conv->out_shape();
@@ -120,10 +171,14 @@ std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
         out.push_back({Code::DF101, where, "input shape mismatch, expected " + shape.str() +
                                                " got " + pool->in_shape.str()});
       }
+      const Shape3& in = pool->in_shape;
+      if (!extents_fit(where, "input shape " + in.str(), {in.c, in.h, in.w})) return out;
       if (pool->kh <= 0 || pool->kw <= 0 || pool->stride <= 0) {
         out.push_back({Code::DF101, where, "pool window and stride must be positive"});
         return out;  // the output shape is undefined
       }
+      if (!window_fits(where, in, pool->kh, pool->kw, 0)) return out;
+      buffered_words += in.c * pool->kh * in.w;
       if (pool->ports <= 0) {
         out.push_back({Code::DF102, where, "pool core count must be positive"});
         shape = pool->out_shape();
@@ -142,10 +197,21 @@ std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
                        "classifier expects " + std::to_string(fcn.in_count) +
                            " inputs but upstream delivers " + std::to_string(shape.volume())});
       }
-      if (static_cast<std::int64_t>(fcn.weights.size()) != fcn.in_count * fcn.out_count) {
+      if (!extents_fit(where, "classifier output count", {fcn.out_count})) return out;
+      std::int64_t want_w = 0;
+      if (__builtin_mul_overflow(fcn.in_count, fcn.out_count, &want_w) ||
+          static_cast<std::int64_t>(fcn.weights.size()) != want_w) {
         out.push_back({Code::DF103, where,
                        "weight table has " + std::to_string(fcn.weights.size()) +
-                           " entries, expected " + std::to_string(fcn.in_count * fcn.out_count)});
+                           " entries, expected " + std::to_string(fcn.in_count) + "x" +
+                           std::to_string(fcn.out_count)});
+      }
+      if (fcn.num_accumulators < 1 ||
+          fcn.num_accumulators > dfc::hls::FcnCoreConfig::kMaxAccumulators) {
+        out.push_back({Code::DF102, where,
+                       "accumulator interleave " + std::to_string(fcn.num_accumulators) +
+                           " must be 1.." +
+                           std::to_string(dfc::hls::FcnCoreConfig::kMaxAccumulators)});
       }
       if (static_cast<std::int64_t>(fcn.biases.size()) != fcn.out_count) {
         out.push_back({Code::DF103, where,
@@ -173,6 +239,11 @@ std::vector<Diagnostic> check_spec(const NetworkSpec& spec) {
                            "divide the other)"});
       }
     }
+  }
+  if (buffered_words > kMaxBufferedWords) {
+    out.push_back({Code::DF101, "network",
+                   "window buffers hold " + std::to_string(buffered_words) +
+                       " words; at most " + std::to_string(kMaxBufferedWords) + " are supported"});
   }
   return out;
 }

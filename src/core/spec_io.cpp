@@ -1,5 +1,6 @@
 #include "core/spec_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -54,11 +55,28 @@ void write_floats(std::ostream& os, const std::vector<float>& v) {
 std::vector<float> read_floats(std::istream& is) {
   const auto n = read_pod<std::uint64_t>(is);
   DFC_REQUIRE(n <= (1ull << 28), "unreasonable weight array length in spec stream");
-  std::vector<float> v(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  DFC_REQUIRE(is.good(), "spec stream truncated");
+  // Grow one bounded chunk at a time, so a length prefix the stream does not
+  // back never allocates more than the floats actually read.
+  constexpr std::uint64_t kChunk = 1u << 16;
+  std::vector<float> v;
+  while (v.size() < n) {
+    const std::size_t got = v.size();
+    const auto take = static_cast<std::size_t>(std::min(kChunk, n - got));
+    v.resize(got + take);
+    is.read(reinterpret_cast<char*>(v.data() + got),
+            static_cast<std::streamsize>(take * sizeof(float)));
+    DFC_REQUIRE(is.good(), "spec stream truncated");
+  }
   return v;
+}
+
+/// Reads a one-byte enum, rejecting values past its last enumerator.
+template <typename E>
+E read_enum(std::istream& is, E last, const std::string& what) {
+  const auto raw = read_pod<std::uint8_t>(is);
+  DFC_REQUIRE(raw <= static_cast<std::uint8_t>(last),
+              "unknown " + what + " " + std::to_string(raw) + " in spec stream");
+  return static_cast<E>(raw);
 }
 
 void write_shape(std::ostream& os, const Shape3& s) {
@@ -155,7 +173,7 @@ NetworkSpec load_spec(std::istream& is) {
         conv.pad = read_pod<std::int32_t>(is);
         conv.in_ports = read_pod<std::int32_t>(is);
         conv.out_ports = read_pod<std::int32_t>(is);
-        conv.act = static_cast<Activation>(read_pod<std::uint8_t>(is));
+        conv.act = read_enum(is, Activation::kTanh, "activation");
         conv.use_filter_chain = read_pod<std::uint8_t>(is) != 0;
         conv.weights = read_floats(is);
         conv.biases = read_floats(is);
@@ -165,7 +183,7 @@ NetworkSpec load_spec(std::istream& is) {
       case LayerTag::kPool: {
         PoolLayerSpec pool;
         pool.in_shape = read_shape(is);
-        pool.mode = static_cast<PoolMode>(read_pod<std::uint8_t>(is));
+        pool.mode = read_enum(is, PoolMode::kMean, "pool mode");
         pool.kh = read_pod<std::int32_t>(is);
         pool.kw = read_pod<std::int32_t>(is);
         pool.stride = read_pod<std::int32_t>(is);
@@ -178,7 +196,7 @@ NetworkSpec load_spec(std::istream& is) {
         FcnLayerSpec fcn;
         fcn.in_count = read_pod<std::int64_t>(is);
         fcn.out_count = read_pod<std::int64_t>(is);
-        fcn.act = static_cast<Activation>(read_pod<std::uint8_t>(is));
+        fcn.act = read_enum(is, Activation::kTanh, "activation");
         fcn.num_accumulators = read_pod<std::int32_t>(is);
         fcn.weights = read_floats(is);
         fcn.biases = read_floats(is);

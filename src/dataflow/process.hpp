@@ -14,6 +14,12 @@ namespace dfc::df {
 class FifoBase;
 class SimContext;
 
+/// The FIFOs a process reads (inputs) and writes (outputs).
+struct Ports {
+  std::vector<FifoBase*> inputs;
+  std::vector<FifoBase*> outputs;
+};
+
 /// A clocked module. on_clock() runs once per cycle in phase 1 and may
 /// interact with FIFOs under the registered-handshake rules (see fifo.hpp).
 class Process {
@@ -39,8 +45,8 @@ class Process {
   static constexpr std::uint64_t kNeverWake = ~std::uint64_t{0};
 
   /// Scheduling hint for SimContext's activity-aware mode: the earliest cycle
-  /// at which on_clock() could do anything observable, assuming none of
-  /// connected_fifos() transfers data in the meantime.
+  /// at which on_clock() could do anything observable, assuming none of its
+  /// ports() transfers data in the meantime.
   ///
   /// Contract: for every cycle t with now() <= t < wake_cycle(), and provided
   /// no connected FIFO commits a push or pop between the call and t,
@@ -51,12 +57,13 @@ class Process {
   /// trivially correct.
   virtual std::uint64_t wake_cycle() const { return 0; }
 
-  /// The FIFOs whose transfers can change this process's behaviour (all
-  /// inputs and outputs it touches). A non-empty list opts the process into
-  /// scheduler skipping: it is then only run when a listed FIFO committed a
-  /// transfer since its last run or wake_cycle() is due. The default (empty)
-  /// keeps the process always awake.
-  virtual std::vector<FifoBase*> connected_fifos() const { return {}; }
+  /// Every FIFO the process pops from (inputs) or pushes to (outputs). The
+  /// scheduler watches both lists: a process with any port opts into
+  /// skipping and only runs when one of them committed a transfer since its
+  /// last run or wake_cycle() is due. The default (no ports) keeps the
+  /// process always awake. The lists are also the design's topology: the
+  /// static verifier reads its process/FIFO graph from them.
+  virtual Ports ports() const { return {}; }
 
   const std::string& name() const { return name_; }
 
@@ -90,7 +97,7 @@ class Process {
   // event-free cycle computes and caches it, and the cache stays valid until
   // the process runs again (no event means the state it derives from is
   // untouched).
-  bool sched_skippable_ = false;    ///< connected_fifos() non-empty
+  bool sched_skippable_ = false;    ///< ports() non-empty
   bool sched_event_ = true;         ///< connected-FIFO transfer since last run
   bool sched_wake_valid_ = false;   ///< sched_wake_ holds a current hint
   std::uint64_t sched_wake_ = 0;    ///< lazily cached wake_cycle()

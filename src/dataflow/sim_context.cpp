@@ -13,13 +13,13 @@ std::uint64_t Process::now() const {
 void SimContext::prepare_schedule() {
   for (auto& f : fifos_) f->watchers_.clear();
   for (auto& p : processes_) {
-    const auto connected = p->connected_fifos();
-    p->sched_skippable_ = !connected.empty();
+    const Ports ports = p->ports();
+    p->sched_skippable_ = !ports.inputs.empty() || !ports.outputs.empty();
     p->sched_event_ = true;  // never skip a process before its first run
     p->sched_wake_valid_ = false;
     p->sched_wake_ = 0;
-    for (FifoBase* f : connected) {
-      if (f != nullptr) f->watchers_.push_back(p.get());
+    for (const auto* list : {&ports.inputs, &ports.outputs}) {
+      for (FifoBase* f : *list) f->watchers_.push_back(p.get());
     }
   }
   schedule_prepared_ = true;

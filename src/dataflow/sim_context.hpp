@@ -9,7 +9,7 @@
 //
 // Activity-aware mode (the default) keeps those semantics bit-identical but
 // skips provably idle work:
-//   * phase 1 skips processes that declared connected_fifos() and whose
+//   * phase 1 skips processes that declared ports() and whose
 //     cached wake_cycle() has not arrived while none of their FIFOs moved
 //     data since their last run;
 //   * phase 2 commits only FIFOs that saw a push or pop this cycle (a commit

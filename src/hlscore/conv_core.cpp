@@ -258,12 +258,8 @@ std::uint64_t ConvCore::wake_cycle() const {
   return wake;
 }
 
-std::vector<dfc::df::FifoBase*> ConvCore::connected_fifos() const {
-  std::vector<dfc::df::FifoBase*> fifos;
-  fifos.reserve(win_in_.size() + out_.size());
-  for (auto* f : win_in_) fifos.push_back(f);
-  for (auto* f : out_) fifos.push_back(f);
-  return fifos;
+dfc::df::Ports ConvCore::ports() const {
+  return {{win_in_.begin(), win_in_.end()}, {out_.begin(), out_.end()}};
 }
 
 void ConvCore::reset() {

@@ -89,7 +89,7 @@ class ConvCore final : public dfc::df::Process {
   void reset() override;
   bool done() const override { return in_flight_ == 0 && group_ == 0; }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override;
+  dfc::df::Ports ports() const override;
 
   std::uint64_t positions_completed() const { return positions_completed_; }
 

@@ -9,7 +9,8 @@ using dfc::axis::Flit;
 void FcnCoreConfig::validate() const {
   latency.validate();
   DFC_REQUIRE(in_count >= 1 && out_count >= 1, "FCN sizes must be >= 1");
-  DFC_REQUIRE(num_accumulators >= 1, "need at least one accumulator lane");
+  DFC_REQUIRE(num_accumulators >= 1 && num_accumulators <= kMaxAccumulators,
+              "accumulator lanes must be 1..256");
   DFC_REQUIRE(static_cast<std::int64_t>(weights.size()) == in_count * out_count,
               "FCN weights size mismatch");
   DFC_REQUIRE(static_cast<std::int64_t>(biases.size()) == out_count,

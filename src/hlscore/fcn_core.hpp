@@ -42,6 +42,7 @@ struct FcnCoreConfig {
   /// Interleaved accumulator lanes per output neuron. Defaults to the float
   /// add latency so the input stream is consumed at II = 1.
   int num_accumulators = 11;
+  static constexpr int kMaxAccumulators = 256;
 
   void validate() const;
 
@@ -64,7 +65,7 @@ class FcnCore final : public dfc::df::Process {
   void reset() override;
   bool done() const override { return in_flight_.empty() && input_index_ == 0; }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_, &out_}; }
+  dfc::df::Ports ports() const override { return {{&in_}, {&out_}}; }
 
   const FcnCoreConfig& config() const { return cfg_; }
   std::uint64_t images_completed() const { return images_completed_; }

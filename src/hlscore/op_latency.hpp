@@ -17,8 +17,14 @@ struct OpLatency {
   int fmul = 8;  ///< float multiply pipeline depth (cycles)
   int fadd = 11; ///< float add pipeline depth (cycles)
 
+  /// Deepest operator pipeline modelled; the cores size their in-flight
+  /// registers from these latencies.
+  static constexpr int kMax = 256;
+
+  bool valid() const { return fmul >= 1 && fadd >= 1 && fmul <= kMax && fadd <= kMax; }
+
   void validate() const {
-    DFC_REQUIRE(fmul >= 1 && fadd >= 1, "operator latencies must be >= 1");
+    DFC_REQUIRE(valid(), "operator latencies must be 1..256 cycles");
   }
 };
 

@@ -52,7 +52,7 @@ class PoolCore final : public dfc::df::Process {
   // With input available the core either pools or notes an output stall
   // every cycle; without input it is fully idle.
   std::uint64_t wake_cycle() const override { return in_.can_pop() ? now() : kNeverWake; }
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_, &out_}; }
+  dfc::df::Ports ports() const override { return {{&in_}, {&out_}}; }
 
   const PoolCoreConfig& config() const { return cfg_; }
   std::uint64_t outputs_produced() const { return outputs_produced_; }

@@ -89,12 +89,8 @@ std::uint64_t WindowAssembler::wake_cycle() const {
   return now();
 }
 
-std::vector<dfc::df::FifoBase*> WindowAssembler::connected_fifos() const {
-  std::vector<dfc::df::FifoBase*> fifos;
-  fifos.reserve(taps_.size() + 1);
-  for (auto* f : taps_) fifos.push_back(f);
-  fifos.push_back(&out_);
-  return fifos;
+dfc::df::Ports WindowAssembler::ports() const {
+  return {{taps_.begin(), taps_.end()}, {&out_}};
 }
 
 void WindowAssembler::advance_position() {

@@ -43,10 +43,10 @@ class TapFilter final : public dfc::df::Process {
   // With input available the filter either forwards or notes a stall on the
   // blocked destination every cycle; without input it is fully idle.
   std::uint64_t wake_cycle() const override { return upstream_.can_pop() ? now() : kNeverWake; }
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override {
-    std::vector<dfc::df::FifoBase*> fifos{&upstream_, &tap_out_};
-    if (downstream_ != nullptr) fifos.push_back(downstream_);
-    return fifos;
+  dfc::df::Ports ports() const override {
+    dfc::df::Ports p{{&upstream_}, {&tap_out_}};
+    if (downstream_ != nullptr) p.outputs.push_back(downstream_);
+    return p;
   }
 
  private:
@@ -71,7 +71,7 @@ class WindowAssembler final : public dfc::df::Process {
   void on_clock() override;
   void reset() override;
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override;
+  dfc::df::Ports ports() const override;
 
  private:
   void advance_position();

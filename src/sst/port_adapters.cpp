@@ -25,11 +25,7 @@ void PortDemux::on_clock() {
   if (++slot_ == group_) slot_ = 0;
 }
 
-std::vector<dfc::df::FifoBase*> PortDemux::connected_fifos() const {
-  std::vector<dfc::df::FifoBase*> fifos{&in_};
-  for (auto* f : outs_) fifos.push_back(f);
-  return fifos;
-}
+dfc::df::Ports PortDemux::ports() const { return {{&in_}, {outs_.begin(), outs_.end()}}; }
 
 PortMerge::PortMerge(std::string name, std::int64_t rounds,
                      std::vector<dfc::df::Fifo<Flit>*> ins, dfc::df::Fifo<Flit>& out)
@@ -45,13 +41,7 @@ std::uint64_t PortMerge::wake_cycle() const {
   return ins_[static_cast<std::size_t>(port_)]->can_pop() ? now() : kNeverWake;
 }
 
-std::vector<dfc::df::FifoBase*> PortMerge::connected_fifos() const {
-  std::vector<dfc::df::FifoBase*> fifos;
-  fifos.reserve(ins_.size() + 1);
-  for (auto* f : ins_) fifos.push_back(f);
-  fifos.push_back(&out_);
-  return fifos;
-}
+dfc::df::Ports PortMerge::ports() const { return {{ins_.begin(), ins_.end()}, {&out_}}; }
 
 void PortMerge::on_clock() {
   if (!out_.can_push()) {

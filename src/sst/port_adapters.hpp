@@ -35,7 +35,7 @@ class PortDemux final : public dfc::df::Process {
   void on_clock() override;
   void reset() override { slot_ = 0; }
   std::uint64_t wake_cycle() const override { return in_.can_pop() ? now() : kNeverWake; }
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override;
+  dfc::df::Ports ports() const override;
 
  private:
   std::int64_t group_;
@@ -63,7 +63,7 @@ class PortMerge final : public dfc::df::Process {
     round_ = 0;
   }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override;
+  dfc::df::Ports ports() const override;
 
  private:
   std::int64_t rounds_;

@@ -38,7 +38,7 @@ class WindowBuffer final : public dfc::df::Process {
            (emit_image_ == input_image_ && elements_in_image_ == 0);
   }
   std::uint64_t wake_cycle() const override;
-  std::vector<dfc::df::FifoBase*> connected_fifos() const override { return {&in_, &out_}; }
+  dfc::df::Ports ports() const override { return {{&in_}, {&out_}}; }
 
   const WindowGeometry& geometry() const { return geom_; }
 

@@ -1,29 +1,20 @@
 #include "verify/graph.hpp"
 
+#include <unordered_map>
 #include <utility>
-#include <variant>
 
 namespace dfc::verify {
 
-using dfc::core::BuildOptions;
-using dfc::core::ConvLayerSpec;
-using dfc::core::FcnLayerSpec;
-using dfc::core::NetworkSpec;
-using dfc::core::PoolLayerSpec;
-
-int DesignGraph::add_node(std::string name, std::string kind, std::size_t device) {
+int DesignGraph::add_node(std::string name) {
   GraphNode n;
   n.name = std::move(name);
-  n.kind = std::move(kind);
-  n.device = device;
   nodes.push_back(std::move(n));
   return static_cast<int>(nodes.size()) - 1;
 }
 
-int DesignGraph::add_channel(std::string name, std::size_t capacity) {
+int DesignGraph::add_channel(std::string name) {
   GraphChannel c;
   c.name = std::move(name);
-  c.capacity = capacity;
   channels.push_back(std::move(c));
   return static_cast<int>(channels.size()) - 1;
 }
@@ -40,240 +31,43 @@ void DesignGraph::bind_consumer(int channel, int node) {
 
 namespace {
 
-/// Mirrors core::adapt_stream_ports: returns the channel indices of the
-/// `target`-port bundle, inserting demux/merge nodes as the builder would.
-/// Returns an empty vector when the adaptation is illegal (the divisibility
-/// diagnostics are the verifier's job; the graph just stops growing here).
-std::vector<int> adapt_ports(DesignGraph& g, const std::string& name, std::vector<int> streams,
-                             std::int64_t channels, int target, std::size_t fifo_capacity,
-                             std::size_t device) {
-  const int up = static_cast<int>(streams.size());
-  if (up == target) return streams;
+using NodeIndex = std::unordered_map<const dfc::df::Process*, int>;
 
-  std::vector<int> out(static_cast<std::size_t>(target), -1);
-  if (up < target) {
-    if (target % up != 0 || channels % target != 0) return {};
-    const int fan = target / up;
-    for (int p = 0; p < up; ++p) {
-      const int demux = g.add_node(name + ".demux" + std::to_string(p), "demux", device);
-      g.bind_consumer(streams[static_cast<std::size_t>(p)], demux);
-      for (int i = 0; i < fan; ++i) {
-        const int q = p + i * up;
-        const int ch = g.add_channel(
-            name + ".demux" + std::to_string(p) + "_" + std::to_string(q), fifo_capacity);
-        g.bind_producer(ch, demux);
-        out[static_cast<std::size_t>(q)] = ch;
-      }
-    }
-    return out;
+/// Appends every FIFO of `ctx` as a channel and every process as a node
+/// bound through its ports; records each process's node index in `node`.
+void append_context(DesignGraph& g, const dfc::df::SimContext& ctx, NodeIndex& node) {
+  std::unordered_map<const dfc::df::FifoBase*, int> channel;
+  for (std::size_t i = 0; i < ctx.fifo_count(); ++i) {
+    channel.emplace(&ctx.fifo(i), g.add_channel(ctx.fifo(i).name()));
   }
-
-  if (up % target != 0) return {};
-  const int fan = up / target;
-  for (int q = 0; q < target; ++q) {
-    const int merge = g.add_node(name + ".merge" + std::to_string(q), "merge", device);
-    for (int i = 0; i < fan; ++i) {
-      g.bind_consumer(streams[static_cast<std::size_t>(q + i * target)], merge);
-    }
-    const int ch = g.add_channel(name + ".merged" + std::to_string(q), fifo_capacity);
-    g.bind_producer(ch, merge);
-    out[static_cast<std::size_t>(q)] = ch;
+  for (std::size_t i = 0; i < ctx.process_count(); ++i) {
+    const dfc::df::Process& p = ctx.process(i);
+    const int n = g.add_node(p.name());
+    node.emplace(&p, n);
+    const dfc::df::Ports ports = p.ports();
+    for (const dfc::df::FifoBase* f : ports.inputs) g.bind_consumer(channel.at(f), n);
+    for (const dfc::df::FifoBase* f : ports.outputs) g.bind_producer(channel.at(f), n);
   }
-  return out;
-}
-
-/// Mirrors core::append_layer_segment for layers [first, last): grows the
-/// graph and returns the outgoing stream-channel bundle (empty on an
-/// illegal adaptation).
-struct SegmentState {
-  std::vector<int> streams;
-  Shape3 shape{};
-};
-
-SegmentState append_segment(DesignGraph& g, const NetworkSpec& spec, std::size_t first,
-                            std::size_t last, SegmentState in, const BuildOptions& options,
-                            const std::string& prefix, std::size_t device) {
-  std::vector<int> streams = std::move(in.streams);
-  Shape3 shape = in.shape;
-
-  for (std::size_t li = first; li < last && !streams.empty(); ++li) {
-    const auto& layer = spec.layers[li];
-    const std::string lname = prefix + "L" + std::to_string(li);
-
-    if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
-      streams = adapt_ports(g, lname, std::move(streams), shape.c, conv->in_ports,
-                            options.stream_fifo_capacity, device);
-      if (streams.empty()) break;
-
-      const int core = g.add_node(lname + ".conv", "conv", device);
-      for (int p = 0; p < conv->in_ports; ++p) {
-        const int mem = g.add_node(lname + ".mem" + std::to_string(p), "mem", device);
-        g.bind_consumer(streams[static_cast<std::size_t>(p)], mem);
-        const int win = g.add_channel(lname + ".win" + std::to_string(p),
-                                      options.window_fifo_capacity);
-        g.bind_producer(win, mem);
-        g.bind_consumer(win, core);
-      }
-      std::vector<int> outs;
-      for (int p = 0; p < conv->out_ports; ++p) {
-        const int ch = g.add_channel(lname + ".out" + std::to_string(p),
-                                     options.stream_fifo_capacity);
-        g.bind_producer(ch, core);
-        outs.push_back(ch);
-      }
-      streams = std::move(outs);
-      shape = conv->out_shape();
-    } else if (const auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
-      streams = adapt_ports(g, lname, std::move(streams), shape.c, pool->ports,
-                            options.stream_fifo_capacity, device);
-      if (streams.empty()) break;
-
-      std::vector<int> outs;
-      for (int p = 0; p < pool->ports; ++p) {
-        const int mem = g.add_node(lname + ".mem" + std::to_string(p), "mem", device);
-        g.bind_consumer(streams[static_cast<std::size_t>(p)], mem);
-        const int win = g.add_channel(lname + ".win" + std::to_string(p),
-                                      options.window_fifo_capacity);
-        g.bind_producer(win, mem);
-        const int core = g.add_node(lname + ".pool" + std::to_string(p), "pool", device);
-        g.bind_consumer(win, core);
-        const int ch = g.add_channel(lname + ".out" + std::to_string(p),
-                                     options.stream_fifo_capacity);
-        g.bind_producer(ch, core);
-        outs.push_back(ch);
-      }
-      streams = std::move(outs);
-      shape = pool->out_shape();
-    } else {
-      const auto& fcn = std::get<FcnLayerSpec>(layer);
-      streams = adapt_ports(g, lname, std::move(streams), shape.c, 1,
-                            options.stream_fifo_capacity, device);
-      if (streams.empty()) break;
-
-      const int core = g.add_node(lname + ".fcn", "fcn", device);
-      g.bind_consumer(streams[0], core);
-      const int ch = g.add_channel(lname + ".out", options.stream_fifo_capacity);
-      g.bind_producer(ch, core);
-      streams = {ch};
-      shape = Shape3{fcn.out_count, 1, 1};
-    }
-  }
-
-  return SegmentState{std::move(streams), shape};
-}
-
-void finish_sink(DesignGraph& g, SegmentState cur, const BuildOptions& options,
-                 const std::string& prefix, std::size_t device) {
-  if (cur.streams.empty()) return;
-  cur.streams = adapt_ports(g, prefix + "dma", std::move(cur.streams), cur.shape.c, 1,
-                            options.stream_fifo_capacity, device);
-  if (cur.streams.empty()) return;
-  const int sink = g.add_node(prefix + "dma.sink", "dma-sink", device);
-  g.bind_consumer(cur.streams[0], sink);
-  g.nodes[static_cast<std::size_t>(sink)].demand_per_image = cur.shape.volume();
-  g.delivered_per_image = cur.shape.volume();
 }
 
 }  // namespace
 
-DesignGraph build_design_graph(const NetworkSpec& spec, const BuildOptions& options) {
+DesignGraph graph_of(const dfc::df::SimContext& ctx) {
   DesignGraph g;
-  if (spec.layers.empty()) return g;
-
-  const int source = g.add_node("dma.source", "dma-source", 0);
-  const int dma_in = g.add_channel("dma.in", options.stream_fifo_capacity);
-  g.bind_producer(dma_in, source);
-
-  SegmentState cur{{dma_in}, spec.input_shape};
-
-  std::size_t li = 0;
-  while (li < spec.layers.size() && !cur.streams.empty()) {
-    std::size_t seg_end = spec.layers.size();
-    if (!options.layer_device.empty() && options.layer_device.size() == spec.layers.size()) {
-      seg_end = li + 1;
-      while (seg_end < spec.layers.size() &&
-             options.layer_device[seg_end] == options.layer_device[li]) {
-        ++seg_end;
-      }
-    }
-    if (li > 0) {
-      const std::string lname = "L" + std::to_string(li);
-      std::vector<int> linked;
-      linked.reserve(cur.streams.size());
-      for (std::size_t p = 0; p < cur.streams.size(); ++p) {
-        const int link = g.add_node(lname + ".link" + std::to_string(p), "link", 0);
-        g.bind_consumer(cur.streams[p], link);
-        const int ch = g.add_channel(lname + ".xfpga" + std::to_string(p),
-                                     options.stream_fifo_capacity);
-        g.bind_producer(ch, link);
-        linked.push_back(ch);
-      }
-      cur.streams = std::move(linked);
-    }
-    cur = append_segment(g, spec, li, seg_end, std::move(cur), options, "", 0);
-    li = seg_end;
-  }
-
-  finish_sink(g, std::move(cur), options, "", 0);
+  NodeIndex node;
+  append_context(g, ctx, node);
   return g;
 }
 
-DesignGraph build_design_graph_multi(const NetworkSpec& spec,
-                                     const std::vector<std::size_t>& layer_device,
-                                     const BuildOptions& options, int link_credits) {
+DesignGraph graph_of(const dfc::mfpga::MultiFpgaAccelerator& acc) {
   DesignGraph g;
-  if (spec.layers.empty() || layer_device.size() != spec.layers.size()) return g;
-
-  const dfc::core::InterLinkModel link{options.link, link_credits};
-  const std::size_t credit_window = static_cast<std::size_t>(
-      std::max(1, link.credits > 0 ? link.credits : link.effective_credits()));
-
-  auto prefix = [](std::size_t d) { return "fpga" + std::to_string(d) + "."; };
-
-  const int source = g.add_node(prefix(0) + "dma.source", "dma-source", 0);
-  const int dma_in = g.add_channel(prefix(0) + "dma.in", options.stream_fifo_capacity);
-  g.bind_producer(dma_in, source);
-
-  SegmentState cur{{dma_in}, spec.input_shape};
-
-  std::size_t li = 0;
-  std::size_t device = 0;
-  while (li < spec.layers.size() && !cur.streams.empty()) {
-    std::size_t seg_end = li + 1;
-    while (seg_end < spec.layers.size() && layer_device[seg_end] == layer_device[li]) {
-      ++seg_end;
-    }
-    if (li > 0) {
-      // One Tx/wire/Rx triple per stream port crossing the boundary. The
-      // wire is the forward data lane only; the credit-return lane cannot
-      // deadlock by the conservation argument (DESIGN.md §13), so it is not
-      // an edge of the analysis graph.
-      const std::string lname = "L" + std::to_string(li);
-      std::vector<int> linked;
-      linked.reserve(cur.streams.size());
-      for (std::size_t p = 0; p < cur.streams.size(); ++p) {
-        const int tx =
-            g.add_node(prefix(device) + lname + ".tx" + std::to_string(p), "link-tx", device);
-        g.bind_consumer(cur.streams[p], tx);
-        const int wire = g.add_channel(lname + ".wire" + std::to_string(p), credit_window);
-        g.bind_producer(wire, tx);
-        const int rx = g.add_node(prefix(device + 1) + lname + ".rx" + std::to_string(p),
-                                  "link-rx", device + 1);
-        g.bind_consumer(wire, rx);
-        const int ingress = g.add_channel(
-            prefix(device + 1) + lname + ".xfpga" + std::to_string(p),
-            options.stream_fifo_capacity);
-        g.bind_producer(ingress, rx);
-        linked.push_back(ingress);
-      }
-      cur.streams = std::move(linked);
-      ++device;
-    }
-    cur = append_segment(g, spec, li, seg_end, std::move(cur), options, prefix(device), device);
-    li = seg_end;
+  NodeIndex node;
+  for (const auto& dev : acc.devices) append_context(g, *dev.ctx, node);
+  for (std::size_t i = 0; i < acc.wires.size(); ++i) {
+    const int wire = g.add_channel(acc.wires[i]->name());
+    g.bind_producer(wire, node.at(acc.txs[i]));
+    g.bind_consumer(wire, node.at(acc.rxs[i]));
   }
-
-  finish_sink(g, std::move(cur), options, prefix(device), device);
   return g;
 }
 

@@ -1,35 +1,31 @@
-// Abstract channel/process graph of a built design, for static analysis.
+// Process/FIFO graph of a design, for static analysis.
 //
 // The verifier's structural checks (dangling channels, duplicate names,
-// unreachable stages, feedback cycles, sink demand) operate on this graph,
-// not on a live SimContext: a DesignGraph can be elaborated from a
-// NetworkSpec + BuildOptions *without* instantiating any process or weight
-// table, and it can be hand-assembled by tests to express broken topologies
-// the builder itself would refuse to construct.
+// unreachable stages, feedback cycles, sink demand) run on this graph.
+// graph_of reads it from a design the builders really built: every process
+// is a node and every FIFO a channel, bound through the processes' ports().
+// So the checks see exactly the topology that runs, under the names a
+// fifo_report, trace or fault plan uses. Tests also hand-assemble graphs to
+// express broken topologies the builders refuse to construct.
 //
-// build_design_graph mirrors core::build_accelerator's elaboration —
-// including every FIFO and process *name* it would create — so diagnostics
-// point at the same entities a fifo_report, trace or fault plan would use.
-// build_design_graph_multi mirrors mfpga::build_multi_fpga, with inter-device
-// wires modeled as forward channels whose capacity is the credit window (the
-// reverse credit lane is deliberately not an edge: credits are conserved,
-// so it cannot introduce a deadlock cycle of its own — see DESIGN.md §13).
+// In a multi-board design each InterLinkWire is one more channel, from its
+// Tx to its Rx. The wire is the forward data lane only; the credit-return
+// lane is not an edge: credits are conserved, so it cannot introduce a
+// deadlock cycle of its own (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/builder.hpp"
-#include "core/interlink.hpp"
-#include "core/network_spec.hpp"
+#include "dataflow/sim_context.hpp"
+#include "multifpga/exec.hpp"
 
 namespace dfc::verify {
 
 /// One FIFO (or inter-device wire) as the analyzer sees it.
 struct GraphChannel {
   std::string name;
-  std::size_t capacity = 0;
   int producer = -1;  ///< node index; -1 = unbound (dangling input)
   int consumer = -1;  ///< node index; -1 = unbound (dangling output)
 };
@@ -37,9 +33,6 @@ struct GraphChannel {
 /// One process as the analyzer sees it.
 struct GraphNode {
   std::string name;
-  std::string kind;  ///< "dma-source"|"dma-sink"|"conv"|"pool"|"fcn"|"mem"|
-                     ///< "demux"|"merge"|"link"|"link-tx"|"link-rx"
-  std::size_t device = 0;
   std::vector<int> inputs;   ///< channel indices this node consumes
   std::vector<int> outputs;  ///< channel indices this node produces
   /// For sinks: words the node insists on receiving per image (0 = n/a).
@@ -54,8 +47,8 @@ struct DesignGraph {
   /// the DF301 demand check).
   std::int64_t delivered_per_image = 0;
 
-  int add_node(std::string name, std::string kind, std::size_t device = 0);
-  int add_channel(std::string name, std::size_t capacity);
+  int add_node(std::string name);
+  int add_channel(std::string name);
 
   /// Marks `node` as the producer/consumer of `channel` and records the
   /// channel on the node's port lists.
@@ -63,17 +56,12 @@ struct DesignGraph {
   void bind_consumer(int channel, int node);
 };
 
-/// Elaborates the single-context design build_accelerator would create
-/// (including LinkChannel crossings when options.layer_device is set).
-DesignGraph build_design_graph(const dfc::core::NetworkSpec& spec,
-                               const dfc::core::BuildOptions& options = {});
+/// The graph of one built context: its processes and FIFOs in registration
+/// order.
+DesignGraph graph_of(const dfc::df::SimContext& ctx);
 
-/// Elaborates the multi-context design build_multi_fpga would create:
-/// per-device name prefixes ("fpga<d>."), Tx/wire/Rx triples per boundary
-/// stream port, wire capacity = the link's effective credit window.
-DesignGraph build_design_graph_multi(const dfc::core::NetworkSpec& spec,
-                                     const std::vector<std::size_t>& layer_device,
-                                     const dfc::core::BuildOptions& options = {},
-                                     int link_credits = 0);
+/// The graph of a built multi-board design: every device context in order,
+/// then one channel per inter-device wire.
+DesignGraph graph_of(const dfc::mfpga::MultiFpgaAccelerator& acc);
 
 }  // namespace dfc::verify

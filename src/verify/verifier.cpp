@@ -35,6 +35,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// A finding that is an error whatever its code's default severity: the
+/// builders cannot construct the design.
+Diagnostic error(Code code, std::string where, std::string what) {
+  Diagnostic d(code, std::move(where), std::move(what));
+  d.severity = Severity::kError;
+  return d;
+}
+
 std::string fmt_units(double v) {
   std::ostringstream os;
   os << static_cast<std::int64_t>(v + 0.5);
@@ -56,9 +64,7 @@ std::int64_t check_rates(const NetworkSpec& spec, const BuildOptions& options,
   // transfer at all.
   const auto check_capacity = [&](std::size_t cap, const char* which) {
     if (cap == 0) {
-      Diagnostic d(Code::DF201, which, "capacity 0 channel can never transfer a word");
-      d.severity = Severity::kError;
-      out.push_back(std::move(d));
+      out.push_back(error(Code::DF201, which, "capacity 0 channel can never transfer a word"));
     } else if (cap < 2) {
       out.push_back({Code::DF201, which,
                      "capacity " + std::to_string(cap) +
@@ -68,6 +74,14 @@ std::int64_t check_rates(const NetworkSpec& spec, const BuildOptions& options,
   };
   check_capacity(options.stream_fifo_capacity, "stream-fifo");
   check_capacity(options.window_fifo_capacity, "window-fifo");
+  if (options.dma_cycles_per_word < 1) {
+    out.push_back(error(Code::DF201, "dma", "DMA rate must be at least 1 cycle per word"));
+  }
+  const bool link_ok = options.link.valid();
+  if (!layer_device.empty() && !link_ok) {
+    out.push_back(error(Code::DF202, "interlink",
+                        "link latency and cycles per word must be at least 1"));
+  }
 
   const dfc::core::InterLinkModel link{options.link, credits};
   const dse::TimingEstimate est = dse::estimate_timing(spec, layer_device, link);
@@ -75,7 +89,7 @@ std::int64_t check_rates(const NetworkSpec& spec, const BuildOptions& options,
   // Credit window vs round trip: below ceil(2*latency/cpw)+2 the Tx idles
   // waiting for returns and the serializer cannot sustain its rate (the
   // conservation argument in core/interlink.hpp).
-  if (!layer_device.empty() && credits > 0) {
+  if (!layer_device.empty() && link_ok && credits > 0) {
     const int needed = dfc::core::InterLinkModel{options.link, 0}.effective_credits();
     if (credits < needed) {
       out.push_back({Code::DF203, "interlink",
@@ -279,7 +293,26 @@ bool check_partition(VerifyReport& r, const NetworkSpec& spec,
   return ok;
 }
 
-void merge_graph_checks(VerifyReport& r, const DesignGraph& graph) {
+/// False when a rate finding already in the report means the builder
+/// cannot construct the design: a capacity-0 FIFO or a DMA rate below one
+/// cycle per word (DF201), an invalid link model (DF202) or a negative
+/// credit window (DF203).
+bool buildable(const VerifyReport& r) {
+  return std::none_of(r.diagnostics.begin(), r.diagnostics.end(), [](const Diagnostic& d) {
+    return d.severity == Severity::kError &&
+           (d.code == Code::DF201 || d.code == Code::DF202 || d.code == Code::DF203);
+  });
+}
+
+/// Runs the graph checks on the graph of a built design. The sink's demand
+/// is the word count the built DmaSink waits for; the delivery is the
+/// spec's output volume from static shape propagation.
+void check_graph(VerifyReport& r, DesignGraph graph, const NetworkSpec& spec,
+                 const dfc::core::DmaSink& sink) {
+  for (GraphNode& n : graph.nodes) {
+    if (n.name == sink.name()) n.demand_per_image = sink.values_per_image();
+  }
+  graph.delivered_per_image = spec.num_outputs();
   VerifyReport g = verify_graph(graph);
   r.channels_checked = g.channels_checked;
   r.stages_checked = g.stages_checked;
@@ -296,11 +329,11 @@ VerifyReport verify_design(const NetworkSpec& spec, const BuildOptions& options,
   r.diagnostics = dfc::core::check_spec(spec);
   const bool shapes_ok = r.diagnostics.empty();
 
-  std::vector<std::size_t> layer_device;
-  if (!options.layer_device.empty() &&
-      check_partition(r, spec, options.layer_device, /*require_monotone=*/false)) {
-    layer_device = options.layer_device;
-  }
+  const bool partition_ok =
+      options.layer_device.empty() ||
+      check_partition(r, spec, options.layer_device, /*require_monotone=*/false);
+  const std::vector<std::size_t> layer_device =
+      partition_ok ? options.layer_device : std::vector<std::size_t>{};
   r.devices = 1;
   for (std::size_t d : layer_device) r.devices = std::max(r.devices, d + 1);
 
@@ -308,7 +341,14 @@ VerifyReport verify_design(const NetworkSpec& spec, const BuildOptions& options,
 
   r.predicted_interval_cycles =
       check_rates(spec, options, layer_device, /*credits=*/0, r.diagnostics);
-  merge_graph_checks(r, build_design_graph(spec, options));
+  if (partition_ok && buildable(r)) {
+    try {
+      const dfc::core::Accelerator acc = dfc::core::build_accelerator(spec, options);
+      check_graph(r, graph_of(*acc.ctx), spec, *acc.sink);
+    } catch (const VerifyError& e) {
+      append(r, e.diagnostics());
+    }
+  }
   check_budget(spec, layer_device, r.devices, vopts, r.diagnostics);
   return r;
 }
@@ -329,13 +369,21 @@ VerifyReport verify_design_multi(const NetworkSpec& spec,
     for (std::size_t d : layer_device) r.devices = std::max(r.devices, d + 1);
   }
   if (link_credits < 0) {
-    r.diagnostics.push_back({Code::DF203, "interlink", "credit count must be non-negative"});
+    r.diagnostics.push_back(error(Code::DF203, "interlink", "credit count must be non-negative"));
   }
   if (!shapes_ok || !partition_ok) return r;
 
   r.predicted_interval_cycles =
       check_rates(spec, options, layer_device, link_credits, r.diagnostics);
-  merge_graph_checks(r, build_design_graph_multi(spec, layer_device, options, link_credits));
+  if (buildable(r)) {
+    try {
+      const dfc::mfpga::MultiFpgaAccelerator acc =
+          dfc::mfpga::build_multi_fpga(spec, layer_device, options, link_credits);
+      check_graph(r, graph_of(acc), spec, *acc.sink);
+    } catch (const VerifyError& e) {
+      append(r, e.diagnostics());
+    }
+  }
   check_budget(spec, layer_device, r.devices, vopts, r.diagnostics);
   return r;
 }

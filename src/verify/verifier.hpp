@@ -8,7 +8,9 @@
 // five check families (DESIGN.md §13 catalogs every code):
 //
 //   1. graph structure    — dangling/unbound channels, duplicate names,
-//                           unreachable stages (DF001–DF004);
+//                           unreachable stages (DF001–DF004) in the
+//                           process/FIFO graph of the design as the real
+//                           builder constructs it (graph_of);
 //   2. shape propagation  — tensor shapes, interleave divisibility, weight
 //                           table widths (DF101–DF105, core::check_spec);
 //   3. rate consistency   — dse::estimate_timing's Eq. 4 stage cycles,
@@ -24,7 +26,10 @@
 // The spec and partition rules live in core, so every builder already
 // throws all of their findings at once (NetworkSpec::validate); the verifier
 // adds the graph, rate, deadlock and budget families on top. It never throws
-// on a bad design — it *reports* — and backs the `dfcnn check` CLI.
+// on a bad design — it *reports*: a builder's VerifyError becomes report
+// diagnostics, and the build is skipped when findings already show it cannot
+// succeed (broken shapes or partition, a capacity-0 FIFO, negative credits).
+// It backs the `dfcnn check` CLI.
 #pragma once
 
 #include <cstdint>
@@ -74,13 +79,14 @@ struct VerifyReport {
   void throw_if_errors() const;
 };
 
-/// Verifies a single-context design (build_accelerator topology, including
-/// LinkChannel crossings when options.layer_device is set).
+/// Verifies a single-context design: builds it with build_accelerator
+/// (LinkChannel crossings included when options.layer_device is set) and
+/// checks the built graph.
 VerifyReport verify_design(const dfc::core::NetworkSpec& spec,
                            const dfc::core::BuildOptions& options = {},
                            const VerifyOptions& vopts = {});
 
-/// Verifies a partitioned multi-FPGA design (build_multi_fpga topology):
+/// Verifies a partitioned multi-FPGA design built with build_multi_fpga:
 /// partition legality, per-device Table I budgets, link rate and credit
 /// windows, plus every single-design check.
 VerifyReport verify_design_multi(const dfc::core::NetworkSpec& spec,

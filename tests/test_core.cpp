@@ -4,7 +4,10 @@
 // block-design export.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -519,6 +522,82 @@ TEST(SpecIoTest, RejectsTruncation) {
   data.resize(data.size() / 2);
   std::stringstream cut(data);
   EXPECT_THROW(load_spec(cut), ConfigError);
+}
+
+/// Offset of the single byte where the streams of `a` and `b` differ.
+std::size_t differing_byte(const NetworkSpec& a, const NetworkSpec& b) {
+  std::stringstream sa, sb;
+  save_spec(a, sa);
+  save_spec(b, sb);
+  const std::string x = sa.str();
+  const std::string y = sb.str();
+  EXPECT_EQ(x.size(), y.size());
+  std::vector<std::size_t> diffs;
+  for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
+    if (x[i] != y[i]) diffs.push_back(i);
+  }
+  EXPECT_EQ(diffs.size(), 1u);
+  return diffs.empty() ? 0 : diffs.front();
+}
+
+TEST(SpecIoTest, OversizedWeightPrefixAllocatesOnlyWhatTheStreamHolds) {
+  // TC1's header and first conv layer, then a weight-length prefix of 2^28
+  // floats that only 4 floats back: 153 bytes claiming 1 GiB.
+  const NetworkSpec spec = make_usps_spec();
+  std::stringstream buf;
+  save_spec(spec, buf);
+  const std::string full = buf.str();
+  const auto& conv = std::get<ConvLayerSpec>(spec.layers[0]);
+  // Bytes 129..136: after the header (with its 8-character name) and the
+  // first conv's fields.
+  const std::size_t prefix = 129;
+  std::uint64_t declared = 0;
+  std::memcpy(&declared, full.data() + prefix, sizeof declared);
+  ASSERT_EQ(declared, conv.weights.size()) << "prefix offset";
+  std::string bytes = full.substr(0, 153);
+  declared = std::uint64_t{1} << 28;
+  std::memcpy(bytes.data() + prefix, &declared, sizeof declared);
+
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  std::stringstream in(bytes);
+  try {
+    load_spec(in);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("spec stream truncated"), std::string::npos)
+        << e.what();
+  }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024) << "peak RSS grew by KiB";
+}
+
+TEST(SpecIoTest, RejectsUnknownActivationAndPoolModeBytes) {
+  // The activation byte of TC1's first conv and the mode byte of its pool,
+  // each found as the one byte two otherwise equal specs differ in.
+  const NetworkSpec base = make_usps_spec();
+  NetworkSpec relu_conv = base;
+  NetworkSpec tanh_conv = base;
+  std::get<ConvLayerSpec>(relu_conv.layers[0]).act = dfc::hls::Activation::kRelu;
+  std::get<ConvLayerSpec>(tanh_conv.layers[0]).act = dfc::hls::Activation::kTanh;
+  NetworkSpec max_pool = base;
+  NetworkSpec mean_pool = base;
+  std::get<PoolLayerSpec>(max_pool.layers[1]).mode = dfc::hls::PoolMode::kMax;
+  std::get<PoolLayerSpec>(mean_pool.layers[1]).mode = dfc::hls::PoolMode::kMean;
+
+  const auto expect_rejected = [](const NetworkSpec& spec, std::size_t at, int bad) {
+    std::stringstream buf;
+    save_spec(spec, buf);
+    std::string bytes = buf.str();
+    bytes[at] = static_cast<char>(bad);
+    std::stringstream in(bytes);
+    EXPECT_THROW(load_spec(in), ConfigError) << "byte " << at << " = " << bad;
+  };
+  const std::size_t act_at = differing_byte(relu_conv, tanh_conv);
+  const std::size_t mode_at = differing_byte(max_pool, mean_pool);
+  for (int bad : {3, 255}) expect_rejected(relu_conv, act_at, bad);
+  for (int bad : {2, 255}) expect_rejected(max_pool, mode_at, bad);
 }
 
 TEST(SpecIoTest, FileRoundTrip) {

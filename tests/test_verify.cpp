@@ -2,19 +2,24 @@
 // design per diagnostic code (asserted by code, never by message text), the
 // deadlock cross-validation suite (every deadlock-class diagnostic has a sim
 // twin that reaches RunStatus::kDeadlock in the cycle engine; clean presets
-// simulate with unchanged logits), graph-vs-builder name equivalence,
-// deterministic JSON, the promoted builder/exec diagnostics, and builds that
+// simulate with unchanged logits), the verified graph equal to the built
+// one, mutated saved specs that load or fail cleanly, deterministic JSON,
+// the promoted builder/exec diagnostics, and builds that
 // collect every spec error before constructing anything.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/harness.hpp"
 #include "core/presets.hpp"
+#include "core/spec_io.hpp"
 #include "dataflow/endpoints.hpp"
 #include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
@@ -80,6 +85,40 @@ TEST(VerifyCodesTest, DF101ShapeMismatch) {
   NetworkSpec strideless = tiny_pipeline();
   std::get<PoolLayerSpec>(strideless.layers[1]).stride = 0;
   EXPECT_TRUE(verify_design(strideless).has(Code::DF101));
+
+  // Windows the cores cannot hold: more than 64 taps, padding as wide as
+  // the kernel, a pool window wider than its input (whose truncated output
+  // size is still positive), and operator latencies out of range.
+  NetworkSpec wide = tiny_spec();
+  auto& wide_conv = std::get<ConvLayerSpec>(wide.layers[0]);
+  wide_conv.kh = wide_conv.kw = 9;
+  wide_conv.pad = 3;
+  wide_conv.weights.assign(2 * 2 * 81, 0.1f);
+  NetworkSpec overpadded = tiny_spec();
+  std::get<ConvLayerSpec>(overpadded.layers[0]).pad = 3;
+  NetworkSpec wide_pool = tiny_pipeline();
+  auto& pool = std::get<PoolLayerSpec>(wide_pool.layers[1]);
+  pool.kh = pool.kw = 3;
+  NetworkSpec slow_add = tiny_spec();
+  slow_add.latency.fadd = 257;
+  NetworkSpec no_mul = tiny_spec();
+  no_mul.latency.fmul = 0;
+  // A line buffer beyond any FPGA's on-chip RAM: 8 rows of 65,536 x 65,536
+  // words, from a 16 MB weight table.
+  NetworkSpec huge;
+  huge.name = "huge";
+  huge.input_shape = Shape3{65536, 8, 65536};
+  ConvLayerSpec huge_conv;
+  huge_conv.in_shape = huge.input_shape;
+  huge_conv.kh = huge_conv.kw = 8;
+  huge_conv.weights.assign(65536 * 64, 0.0f);
+  huge_conv.biases.assign(1, 0.0f);
+  huge.layers.push_back(huge_conv);
+  for (const NetworkSpec& bad : {wide, overpadded, wide_pool, slow_add, no_mul, huge}) {
+    const auto rb = verify_design(bad);
+    EXPECT_TRUE(rb.has(Code::DF101)) << rb.render();
+    EXPECT_THROW(bad.validate(), VerifyError);
+  }
 }
 
 TEST(VerifyCodesTest, DF102PortDivisibility) {
@@ -90,6 +129,13 @@ TEST(VerifyCodesTest, DF102PortDivisibility) {
   conv.weights.assign(3 * 2 * 9, 0.1f);
   conv.biases.assign(3, 0.0f);
   EXPECT_TRUE(verify_design(spec).has(Code::DF102));
+
+  // The classifier's accumulator interleave must be 1..256 lanes.
+  for (int lanes : {0, 257}) {
+    NetworkSpec interleave = tiny_pipeline();
+    std::get<FcnLayerSpec>(interleave.layers[2]).num_accumulators = lanes;
+    EXPECT_TRUE(verify_design(interleave).has(Code::DF102)) << lanes;
+  }
 }
 
 TEST(VerifyCodesTest, DF103WeightTableSize) {
@@ -147,11 +193,11 @@ TEST(VerifyCodesTest, DF203CreditWindowBelowRoundTrip) {
 
 TEST(VerifyCodesTest, DF001DanglingProducer) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int ch = g.add_channel("fed", 4);
+  const int src = g.add_node("src");
+  const int ch = g.add_channel("fed");
   g.bind_producer(ch, src);
-  const int orphan = g.add_channel("orphan", 4);
-  const int sink = g.add_node("sink", "dma-sink");
+  const int orphan = g.add_channel("orphan");
+  const int sink = g.add_node("sink");
   g.bind_consumer(ch, sink);
   g.bind_consumer(orphan, sink);
   const auto r = verify_graph(g);
@@ -161,17 +207,17 @@ TEST(VerifyCodesTest, DF001DanglingProducer) {
 
 TEST(VerifyCodesTest, DF002DanglingConsumer) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int ch = g.add_channel("dead-end", 4);
+  const int src = g.add_node("src");
+  const int ch = g.add_channel("dead-end");
   g.bind_producer(ch, src);
   EXPECT_TRUE(verify_graph(g).has(Code::DF002));
 }
 
 TEST(VerifyCodesTest, DF003DuplicateName) {
   DesignGraph g;
-  const int a = g.add_node("stage", "conv");
-  const int b = g.add_node("stage", "pool");
-  const int ch = g.add_channel("ch", 4);
+  const int a = g.add_node("stage");
+  const int b = g.add_node("stage");
+  const int ch = g.add_channel("ch");
   g.bind_producer(ch, a);
   g.bind_consumer(ch, b);
   EXPECT_TRUE(verify_graph(g).has(Code::DF003));
@@ -179,16 +225,16 @@ TEST(VerifyCodesTest, DF003DuplicateName) {
 
 TEST(VerifyCodesTest, DF004UnreachableStage) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int sink = g.add_node("sink", "dma-sink");
-  const int ch = g.add_channel("main", 4);
+  const int src = g.add_node("src");
+  const int sink = g.add_node("sink");
+  const int ch = g.add_channel("main");
   g.bind_producer(ch, src);
   g.bind_consumer(ch, sink);
   // Two stages feeding each other, cut off from the source.
-  const int a = g.add_node("islandA", "conv");
-  const int b = g.add_node("islandB", "conv");
-  const int f = g.add_channel("island.fwd", 4);
-  const int r = g.add_channel("island.back", 4);
+  const int a = g.add_node("islandA");
+  const int b = g.add_node("islandB");
+  const int f = g.add_channel("island.fwd");
+  const int r = g.add_channel("island.back");
   g.bind_producer(f, a);
   g.bind_consumer(f, b);
   g.bind_producer(r, b);
@@ -200,9 +246,9 @@ TEST(VerifyCodesTest, DF004UnreachableStage) {
 
 TEST(VerifyCodesTest, DF301SinkDemandExceedsDelivery) {
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int ch = g.add_channel("ch", 4);
-  const int sink = g.add_node("sink", "dma-sink");
+  const int src = g.add_node("src");
+  const int ch = g.add_channel("ch");
+  const int sink = g.add_node("sink");
   g.bind_producer(ch, src);
   g.bind_consumer(ch, sink);
   g.nodes[static_cast<std::size_t>(sink)].demand_per_image = 5;
@@ -216,14 +262,14 @@ TEST(VerifyCodesTest, DF302FeedbackCycle) {
   // src -> merge -> demux -> sink, with demux feeding one output back into
   // the merge: a token-free feedback loop.
   DesignGraph g;
-  const int src = g.add_node("src", "dma-source");
-  const int merge = g.add_node("merge", "merge");
-  const int demux = g.add_node("demux", "demux");
-  const int sink = g.add_node("sink", "dma-sink");
-  const int in = g.add_channel("src.out", 4);
-  const int merged = g.add_channel("merged", 4);
-  const int out = g.add_channel("out", 4);
-  const int fb = g.add_channel("feedback", 4);
+  const int src = g.add_node("src");
+  const int merge = g.add_node("merge");
+  const int demux = g.add_node("demux");
+  const int sink = g.add_node("sink");
+  const int in = g.add_channel("src.out");
+  const int merged = g.add_channel("merged");
+  const int out = g.add_channel("out");
+  const int fb = g.add_channel("feedback");
   g.bind_producer(in, src);
   g.bind_consumer(in, merge);
   g.bind_producer(merged, merge);
@@ -278,12 +324,12 @@ TEST(VerifyDeadlockTest, DanglingProducerDeadlocksInSim) {
   // the merge wedges after one value. verify_graph flags the orphan as DF001;
   // the cycle engine reaches RunStatus::kDeadlock on the twin.
   DesignGraph g;
-  const int src = g.add_node("dma.source", "dma-source");
-  const int fed = g.add_channel("fed", 8);
-  const int orphan = g.add_channel("orphan", 8);
-  const int merge = g.add_node("merge", "merge");
-  const int merged = g.add_channel("merged", 8);
-  const int sink = g.add_node("dma.sink", "dma-sink");
+  const int src = g.add_node("dma.source");
+  const int fed = g.add_channel("fed");
+  const int orphan = g.add_channel("orphan");
+  const int merge = g.add_node("merge");
+  const int merged = g.add_channel("merged");
+  const int sink = g.add_node("dma.sink");
   g.bind_producer(fed, src);
   g.bind_consumer(fed, merge);
   g.bind_consumer(orphan, merge);
@@ -310,9 +356,9 @@ TEST(VerifyDeadlockTest, SinkDemandMismatchDeadlocksInSim) {
   // Pipeline delivers 4 words/image; the sink insists on 5. DF301 statically,
   // kDeadlock dynamically (the sink waits forever for the fifth word).
   DesignGraph g;
-  const int src = g.add_node("dma.source", "dma-source");
-  const int ch = g.add_channel("dma.in", 8);
-  const int sink = g.add_node("dma.sink", "dma-sink");
+  const int src = g.add_node("dma.source");
+  const int ch = g.add_channel("dma.in");
+  const int sink = g.add_node("dma.sink");
   g.bind_producer(ch, src);
   g.bind_consumer(ch, sink);
   g.nodes[static_cast<std::size_t>(sink)].demand_per_image = 5;
@@ -336,14 +382,14 @@ TEST(VerifyDeadlockTest, FeedbackCycleDeadlocksInSim) {
   // the feedback FIFO. The merge blocks on the empty feedback channel after
   // one value — a circular wait the idle watchdog converts to kDeadlock.
   DesignGraph g;
-  const int src = g.add_node("dma.source", "dma-source");
-  const int merge = g.add_node("merge", "merge");
-  const int demux = g.add_node("demux", "demux");
-  const int sink = g.add_node("dma.sink", "dma-sink");
-  const int in = g.add_channel("dma.in", 8);
-  const int merged = g.add_channel("merged", 8);
-  const int out = g.add_channel("out", 8);
-  const int fb = g.add_channel("feedback", 8);
+  const int src = g.add_node("dma.source");
+  const int merge = g.add_node("merge");
+  const int demux = g.add_node("demux");
+  const int sink = g.add_node("dma.sink");
+  const int in = g.add_channel("dma.in");
+  const int merged = g.add_channel("merged");
+  const int out = g.add_channel("out");
+  const int fb = g.add_channel("feedback");
   g.bind_producer(in, src);
   g.bind_consumer(in, merge);
   g.bind_producer(merged, merge);
@@ -415,63 +461,149 @@ TEST(VerifyCleanTest, CleanDesignSimulatesWithUnchangedLogits) {
   EXPECT_EQ(rs.outputs, rm.outputs) << "verified-clean cuts must not change logits";
 }
 
-// --- graph elaboration mirrors the builder name for name ---------------------
+// --- the verified graph is the built graph ----------------------------------
 
-TEST(VerifyGraphMirrorTest, SingleContextNamesMatchBuilder) {
-  for (const auto& spec : {dfc::core::make_usps_preset().compile_spec(),
-                           dfc::core::make_cifar_preset().compile_spec()}) {
-    const DesignGraph g = build_design_graph(spec);
-    const auto acc = dfc::core::build_accelerator(spec);
-
-    std::set<std::string> graph_fifos, ctx_fifos;
-    for (const auto& c : g.channels) graph_fifos.insert(c.name);
-    for (std::size_t i = 0; i < acc.ctx->fifo_count(); ++i) {
-      ctx_fifos.insert(acc.ctx->fifo(i).name());
+TEST(VerifyBuiltGraphTest, FilterChainDesignCountsEveryBuiltProcessAndFifo) {
+  // USPS with the paper's element-level SST filter chain on every layer
+  // without padding: the report covers every process and FIFO the builder
+  // creates, on one board and on two, and the chain trips no graph rule.
+  NetworkSpec spec = dfc::core::make_usps_preset().compile_spec();
+  std::size_t chained = 0;
+  for (auto& layer : spec.layers) {
+    if (auto* conv = std::get_if<ConvLayerSpec>(&layer); conv != nullptr && conv->pad == 0) {
+      conv->use_filter_chain = true;
+      ++chained;
+    } else if (auto* pool = std::get_if<PoolLayerSpec>(&layer)) {
+      pool->use_filter_chain = true;
+      ++chained;
     }
-    EXPECT_EQ(graph_fifos, ctx_fifos) << spec.name;
-
-    std::set<std::string> graph_nodes, ctx_procs;
-    for (const auto& n : g.nodes) graph_nodes.insert(n.name);
-    for (std::size_t i = 0; i < acc.ctx->process_count(); ++i) {
-      ctx_procs.insert(acc.ctx->process(i).name());
-    }
-    EXPECT_EQ(graph_nodes, ctx_procs) << spec.name;
   }
+  ASSERT_EQ(chained, 3u);
+
+  const auto r = verify_design(spec);
+  const auto acc = dfc::core::build_accelerator(spec);
+  EXPECT_EQ(r.stages_checked, acc.ctx->process_count());
+  EXPECT_EQ(r.channels_checked, acc.ctx->fifo_count());
+  EXPECT_EQ(r.stages_checked, 223u);
+  EXPECT_EQ(r.channels_checked, 413u);
+  EXPECT_TRUE(r.diagnostics.empty()) << r.render();
+
+  // Cut over two boards: every context's processes and FIFOs, plus one
+  // channel per inter-board wire.
+  const auto plan = dfc::mfpga::partition_network_exact(spec, 2, {});
+  const auto rm = verify_design_multi(spec, plan.layer_device, {});
+  const auto multi = dfc::mfpga::build_multi_fpga(spec, plan.layer_device, {});
+  std::size_t processes = 0;
+  std::size_t channels = multi.wires.size();
+  for (const auto& dev : multi.devices) {
+    processes += dev.ctx->process_count();
+    channels += dev.ctx->fifo_count();
+  }
+  EXPECT_EQ(rm.stages_checked, processes);
+  EXPECT_EQ(rm.channels_checked, channels);
+  EXPECT_EQ(rm.errors(), 0u) << rm.render();
+  EXPECT_FALSE(rm.has(Code::DF004)) << rm.render();
 }
 
-TEST(VerifyGraphMirrorTest, MultiContextNamesMatchExecutor) {
-  const auto spec = dfc::core::make_usps_preset().compile_spec();
-  const auto plan = dfc::mfpga::partition_network_exact(spec, 2, {});
-  const DesignGraph g = build_design_graph_multi(spec, plan.layer_device, {});
-  const auto acc = dfc::mfpga::build_multi_fpga(spec, plan.layer_device, {});
+// --- saved specs, mutated, load or report but never crash ------------------
 
-  std::set<std::string> ctx_fifos, wire_names;
-  for (const auto& dev : acc.devices) {
-    for (std::size_t i = 0; i < dev.ctx->fifo_count(); ++i) {
-      ctx_fifos.insert(dev.ctx->fifo(i).name());
-    }
-  }
-  for (const auto& w : acc.wires) wire_names.insert(w->name());
+/// Offsets of every length prefix in save_spec's stream of `spec` (name,
+/// layer count, each weight and bias table), and of every byte that is not
+/// float payload, following the layout in core/spec_io.hpp.
+struct SpecLayout {
+  std::vector<std::size_t> prefixes;
+  std::vector<std::size_t> field_bytes;
+  std::size_t size = 0;
+};
 
-  std::set<std::string> graph_fifos, graph_wires;
-  for (const auto& c : g.channels) {
-    if (c.name.find(".wire") != std::string::npos) {
-      graph_wires.insert(c.name);
+SpecLayout spec_layout(const NetworkSpec& spec) {
+  SpecLayout l;
+  const auto field = [&](std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) l.field_bytes.push_back(l.size++);
+  };
+  const auto table = [&](std::size_t floats) {
+    l.prefixes.push_back(l.size);
+    field(sizeof(std::uint64_t));
+    l.size += floats * sizeof(float);
+  };
+  field(10 + 4);  // magic "DFCNNSPEC\0", version
+  l.prefixes.push_back(l.size);
+  field(8 + spec.name.size() + 3 * 8 + 2 * 4);  // name, input shape, latencies
+  l.prefixes.push_back(l.size);
+  field(8);  // layer count
+  for (const auto& layer : spec.layers) {
+    if (const auto* conv = std::get_if<ConvLayerSpec>(&layer)) {
+      field(1 + 3 * 8 + 8 + 6 * 4 + 2);
+      table(conv->weights.size());
+      table(conv->biases.size());
+    } else if (std::holds_alternative<PoolLayerSpec>(layer)) {
+      field(1 + 3 * 8 + 1 + 4 * 4 + 1);
     } else {
-      graph_fifos.insert(c.name);
+      const auto& fcn = std::get<FcnLayerSpec>(layer);
+      field(1 + 8 + 8 + 1 + 4);
+      table(fcn.weights.size());
+      table(fcn.biases.size());
     }
   }
-  EXPECT_EQ(graph_fifos, ctx_fifos);
-  EXPECT_EQ(graph_wires, wire_names);
+  return l;
+}
 
-  std::set<std::string> graph_nodes, ctx_procs;
-  for (const auto& n : g.nodes) graph_nodes.insert(n.name);
-  for (const auto& dev : acc.devices) {
-    for (std::size_t i = 0; i < dev.ctx->process_count(); ++i) {
-      ctx_procs.insert(dev.ctx->process(i).name());
+TEST(VerifyMutationTest, MutatedSavedSpecsLoadOrFailCleanly) {
+  // Byte flips, truncations and length-prefix overwrites of the saved TC1
+  // and TC2 streams. Every mutant either fails to load with a ConfigError or
+  // loads and gets a report; nothing else may escape, since verify builds
+  // the design it checks.
+  constexpr int kMutantsPerKind = 300;
+  dfc::Rng rng(0x5eed'18);
+  for (const auto& spec : {dfc::core::make_usps_preset().compile_spec(),
+                           dfc::core::make_cifar_preset().compile_spec()}) {
+    std::stringstream buf;
+    dfc::core::save_spec(spec, buf);
+    const std::string saved = buf.str();
+    const SpecLayout layout = spec_layout(spec);
+    ASSERT_EQ(layout.size, saved.size()) << spec.name;
+
+    int loaded = 0;
+    const auto check = [&](const std::string& mutant, const std::string& what) {
+      std::stringstream in(mutant);
+      NetworkSpec back;
+      try {
+        back = dfc::core::load_spec(in);
+      } catch (const dfc::ConfigError&) {
+        return;
+      }
+      ++loaded;
+      EXPECT_NO_THROW(verify_design(back)) << spec.name << ": " << what;
+    };
+
+    for (int i = 0; i < kMutantsPerKind; ++i) {
+      std::string m = saved;
+      const auto flips = 1 + rng.next_below(4);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        const std::size_t at = rng.next_below(2) == 0
+                                   ? layout.field_bytes[rng.next_below(layout.field_bytes.size())]
+                                   : rng.next_below(m.size());
+        m[at] = static_cast<char>(m[at] ^ static_cast<char>(1 + rng.next_below(255)));
+      }
+      check(m, "flips #" + std::to_string(i));
     }
+    for (int i = 0; i < kMutantsPerKind; ++i) {
+      check(saved.substr(0, rng.next_below(saved.size())), "truncation #" + std::to_string(i));
+    }
+    for (int i = 0; i < kMutantsPerKind; ++i) {
+      std::string m = saved;
+      const std::size_t at = layout.prefixes[rng.next_below(layout.prefixes.size())];
+      std::uint64_t value = 0;
+      std::memcpy(&value, m.data() + at, sizeof value);
+      const std::uint64_t choices[] = {0,        1,         value - 1,          value + 1,
+                                       1u << 20, 1u << 28,  (1ull << 28) + 1,  1ull << 32,
+                                       ~0ull,    rng.next_u64()};
+      value = choices[rng.next_below(std::size(choices))];
+      std::memcpy(m.data() + at, &value, sizeof value);
+      check(m, "prefix at " + std::to_string(at) + " = " + std::to_string(value));
+    }
+    EXPECT_GT(loaded, 0) << spec.name << ": no mutant reached verify_design";
   }
-  EXPECT_EQ(graph_nodes, ctx_procs);
 }
 
 // --- deterministic JSON ------------------------------------------------------
@@ -502,6 +634,32 @@ TEST(VerifyReportTest, ReportAccessorsAndThrow) {
   }
   // A clean report does not throw.
   verify_design(tiny_spec()).throw_if_errors();
+}
+
+TEST(VerifyReportTest, UnbuildableOptionsAreReportedNotThrown) {
+  // Options the builders refuse never escape verify as exceptions.
+  BuildOptions no_stream;
+  no_stream.stream_fifo_capacity = 0;
+  BuildOptions no_window;
+  no_window.window_fifo_capacity = 0;
+  BuildOptions no_dma;
+  no_dma.dma_cycles_per_word = 0;
+  BuildOptions no_link;
+  no_link.link = dfc::core::LinkModel{0, 0};
+  no_link.layer_device = {0, 1, 1};
+  const std::vector<std::size_t> cut{0, 1, 1};
+  for (const BuildOptions& opts : {no_stream, no_window, no_dma, no_link}) {
+    VerifyReport single;
+    ASSERT_NO_THROW(single = verify_design(tiny_pipeline(), opts));
+    EXPECT_FALSE(single.clean()) << single.render();
+    VerifyReport multi;
+    ASSERT_NO_THROW(multi = verify_design_multi(tiny_pipeline(), cut, opts));
+    EXPECT_FALSE(multi.clean()) << multi.render();
+  }
+  VerifyReport negative;
+  ASSERT_NO_THROW(negative = verify_design_multi(tiny_pipeline(), cut, {}, /*link_credits=*/-1));
+  EXPECT_TRUE(negative.has(Code::DF203));
+  EXPECT_FALSE(negative.clean());
 }
 
 // --- promoted construction-path diagnostics ----------------------------------

@@ -11,6 +11,10 @@
 //       Exit 0 when no hot bench regressed more than the threshold, 1
 //       otherwise. --simulate-regression inflates the current wall times by
 //       the given fraction — CI uses it to prove the gate actually fails.
+//
+// Exit codes: 0 pass, 1 regression, 2 usage error (unknown flag, bad
+// number, missing --baseline), 3 library error (an unreadable or malformed
+// snapshot, an unwritable --out, a failed bench).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -135,7 +139,7 @@ report::TrendSnapshot measure_benches(const std::string& label) {
 
 report::TrendSnapshot load_snapshot(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  DFC_REQUIRE(in.good(), "cannot open snapshot '" + path + "'");
+  if (!in.good()) throw dfc::ConfigError("cannot open snapshot '" + path + "'");
   std::ostringstream ss;
   ss << in.rdbuf();
   return report::TrendSnapshot::from_json(ss.str());
@@ -221,7 +225,7 @@ int main(int argc, char** argv) {
     return 2;
   } catch (const dfc::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
+    return 3;
   }
   return usage();
 }
