@@ -1,30 +1,11 @@
 #include "cluster/service_table.hpp"
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "core/harness.hpp"
 #include "multifpga/exec.hpp"
 #include "multifpga/partition.hpp"
 
 namespace dfc::cluster {
-
-namespace {
-
-// Same convention as serve::ReplicaPool's warm(): timing is data-independent,
-// so any seeded content works; seed 7 keeps the measurement reproducible.
-std::vector<Tensor> timing_images(const dfc::core::NetworkSpec& spec, std::size_t count) {
-  Rng rng(7);
-  std::vector<Tensor> images;
-  images.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Tensor t(spec.input_shape);
-    for (float& v : t.flat()) v = rng.uniform(-1.0f, 1.0f);
-    images.push_back(std::move(t));
-  }
-  return images;
-}
-
-}  // namespace
 
 std::vector<std::uint64_t> measure_service_table(const dfc::core::NetworkSpec& spec,
                                                  std::size_t boards, std::size_t max_batch,
@@ -34,11 +15,10 @@ std::vector<std::uint64_t> measure_service_table(const dfc::core::NetworkSpec& s
   DFC_REQUIRE(max_batch > 0, "service table needs a positive max batch size");
   link.validate();
 
-  const std::vector<Tensor> images = timing_images(spec, max_batch);
   dfc::core::BatchResult res;
   if (boards == 1) {
     dfc::core::AcceleratorHarness harness(dfc::core::build_accelerator(spec, options));
-    res = harness.run_batch(images);
+    res = harness.run_timing(max_batch);
   } else {
     const mfpga::MultiFpgaPlan plan =
         mfpga::partition_network_exact(spec, boards, link.link, link.credits);
@@ -46,7 +26,7 @@ std::vector<std::uint64_t> measure_service_table(const dfc::core::NetworkSpec& s
     opts.link = link.link;
     mfpga::MultiFpgaHarness harness(
         mfpga::build_multi_fpga(spec, plan.layer_device, opts, link.credits));
-    res = harness.run_batch(images);
+    res = harness.run_timing(max_batch);
   }
   DFC_CHECK(res.ok() && res.completed() == max_batch,
             "service measurement of " + spec.name + " on " + std::to_string(boards) +

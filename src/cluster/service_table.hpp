@@ -8,17 +8,19 @@
 // bandwidth, latency and credit window land in the planner's per-image
 // service times exactly as the wire-level executor charges them.
 //
-// Every board count takes one path: build one harness, stream one batch of
-// max_batch images, and read entry n-1 as image n-1's completion cycle. The
-// pipeline is prefix-stable — no image is delayed by a later one (DESIGN.md
-// §14) — so one run of max_batch images replaces the max_batch(max_batch+1)/2
-// images of per-size runs and gives the same table. One case is not exact: a
-// single board whose shared DMA bus is throttled to dma_cycles_per_word >= 3,
-// where a later image's input word can hold the bus when the sink wants it
-// (entries below max_batch read 2 cycles high on TC1 and TC2). The
-// measurement is bit-deterministic (lockstep multi-context execution,
-// DESIGN.md §11), so planner timelines built on these tables stay
-// byte-identical across hosts and DFCNN_SWEEP_THREADS.
+// Every board count takes one path: build one harness, run one timing-only
+// batch of max_batch images (run_timing: the engine skips the value work, no
+// images are made, DESIGN.md §17), and read entry n-1 as image n-1's
+// completion cycle. The pipeline is prefix-stable — no image is delayed by a
+// later one (DESIGN.md §14) — so one run of max_batch images replaces the
+// max_batch(max_batch+1)/2 images of per-size runs and gives the same table.
+// One case is not exact: a single board whose shared DMA bus is throttled to
+// dma_cycles_per_word >= 3, where a later image's input word can hold the
+// bus when the sink wants it (entries below max_batch read 2 cycles high on
+// TC1 and TC2). The timing-only run is exact there too; the error is in
+// reading a prefix of it. The measurement is bit-deterministic (lockstep
+// multi-context execution, DESIGN.md §11), so planner timelines built on
+// these tables stay byte-identical across hosts and DFCNN_SWEEP_THREADS.
 #pragma once
 
 #include <cstdint>

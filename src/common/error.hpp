@@ -15,19 +15,34 @@ namespace dfc {
 /// Base class for all errors thrown by the dfcnn library.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what) : Error(what, what) {}
+  /// `message` is `what` without the context only a developer needs — a
+  /// failed check's expression and source location.
+  Error(const std::string& what, const std::string& message)
+      : std::runtime_error(what), message_(message) {}
+
+  /// The one-line message a command-line tool shows its user; what() keeps
+  /// the full context.
+  const char* message() const noexcept { return message_.what(); }
+
+ private:
+  std::runtime_error message_;  ///< copies without throwing, unlike std::string
 };
 
 /// Invalid user-supplied configuration (layer shapes, port counts, ...).
 class ConfigError : public Error {
  public:
   explicit ConfigError(const std::string& what) : Error("config error: " + what) {}
+  ConfigError(const std::string& what, const std::string& message)
+      : Error("config error: " + what, "config error: " + message) {}
 };
 
 /// Internal invariant violation; indicates a bug in the library itself.
 class InternalError : public Error {
  public:
   explicit InternalError(const std::string& what) : Error("internal error: " + what) {}
+  InternalError(const std::string& what, const std::string& message)
+      : Error("internal error: " + what, "internal error: " + message) {}
 };
 
 /// Simulation-level failure (deadlock, FIFO protocol violation, ...).
@@ -65,11 +80,13 @@ namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
                                              const char* file, int line,
                                              const std::string& msg) {
-  std::string full = std::string(kind) + " failed: " + expr + " at " + file + ":" +
-                     std::to_string(line);
+  const std::string check = std::string(kind) + " failed: " + expr;
+  std::string full = check + " at " + file + ":" + std::to_string(line);
   if (!msg.empty()) full += " — " + msg;
-  if (std::string(kind) == "DFC_REQUIRE") throw ConfigError(full);
-  throw InternalError(full);
+  // Users see the message alone; the expression only when there is none.
+  const std::string& shown = msg.empty() ? check : msg;
+  if (std::string(kind) == "DFC_REQUIRE") throw ConfigError(full, shown);
+  throw InternalError(full, shown);
 }
 }  // namespace detail
 

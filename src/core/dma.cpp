@@ -61,8 +61,18 @@ void DmaSource::enqueue(const Tensor& image) {
   DFC_REQUIRE(image.shape() == image_shape_,
               "DMA image shape mismatch: " + image.shape().str() + " vs " +
                   image_shape_.str());
-  const auto flits = dfc::axis::pack_port_stream(image, 1, 0);
-  buffer_.insert(buffer_.end(), flits.begin(), flits.end());
+  for (std::int64_t y = 0; y < image_shape_.h; ++y) {
+    for (std::int64_t x = 0; x < image_shape_.w; ++x) {
+      for (std::int64_t c = 0; c < image_shape_.c; ++c) values_.push_back(image.at(c, y, x));
+    }
+  }
+  queued_words_ += static_cast<std::uint64_t>(image_shape_.volume());
+  notify_external_event();
+}
+
+void DmaSource::enqueue_blank(std::size_t images) {
+  DFC_REQUIRE(!carry_values_, "blank images need a timing-only context");
+  queued_words_ += images * static_cast<std::uint64_t>(image_shape_.volume());
   notify_external_event();
 }
 
@@ -81,18 +91,28 @@ void DmaSource::on_clock() {
     inject_cycles_.push_back(now());
     ++images_started_;
   }
-  out_.push(buffer_.front());
-  buffer_.pop_front();
+  // The single-port stream format: word i of an image carries channel
+  // i mod C, and TLAST marks the image's last word.
+  const std::int64_t volume = image_shape_.volume();
+  const bool carry = carry_values_;
+  out_.push_with([&](Flit& f) {
+    f.data = carry ? values_.front() : 0.0f;
+    f.last = words_into_image_ == volume - 1;
+    f.channel = static_cast<std::int32_t>(word_channel_);
+  });
+  if (carry) values_.pop_front();
+  --queued_words_;
+  if (++word_channel_ == image_shape_.c) word_channel_ = 0;
   next_send_cycle_ = now() + static_cast<std::uint64_t>(cycles_per_word_);
   if (bus_ != nullptr) bus_->consume(now());
-  if (++words_into_image_ == image_shape_.volume()) {
+  if (++words_into_image_ == volume) {
     words_into_image_ = 0;
     ++images_sent_;
   }
 }
 
 std::uint64_t DmaSource::wake_cycle() const {
-  if (buffer_.empty()) return kNeverWake;
+  if (queued_words_ == 0) return kNeverWake;
   // Pacing/bus-busy waits are silent; once due, a full FIFO means a stall is
   // noted every cycle, which max(..., now) keeps awake.
   std::uint64_t wake = std::max(next_send_cycle_, now());
@@ -101,8 +121,10 @@ std::uint64_t DmaSource::wake_cycle() const {
 }
 
 void DmaSource::reset() {
-  buffer_.clear();
+  values_.clear();
+  queued_words_ = 0;
   words_into_image_ = 0;
+  word_channel_ = 0;
   next_send_cycle_ = 0;
   images_started_ = 0;
   images_sent_ = 0;
@@ -132,20 +154,23 @@ void DmaSink::on_clock() {
     return;
   }
   if (bus_ != nullptr && !bus_->grant_sink(now())) return;
-  const Flit flit = in_.pop();
+  const Flit& flit = in_.pop();
   if (guard_enabled_) guard_check(flit);
-  current_.push_back(flit.data);
+  if (carry_values_) current_.push_back(flit.data);
   next_recv_cycle_ = now() + static_cast<std::uint64_t>(cycles_per_word_);
   if (bus_ != nullptr) bus_->consume(now());
-  if (static_cast<std::int64_t>(current_.size()) == values_per_image_) {
+  if (++words_in_image_ == values_per_image_) {
+    words_in_image_ = 0;
     if (obs_trace_ != nullptr) {
       obs_trace_->record(obs_id_, obs::EventKind::kImageDone, now(),
                          static_cast<std::uint32_t>(completion_cycles_.size()));
     }
     completion_cycles_.push_back(now());
-    outputs_.push_back(std::move(current_));
-    current_.clear();
-    current_.reserve(static_cast<std::size_t>(values_per_image_));
+    if (carry_values_) {
+      outputs_.push_back(std::move(current_));
+      current_.clear();
+      current_.reserve(static_cast<std::size_t>(values_per_image_));
+    }
   }
 }
 
@@ -157,8 +182,7 @@ std::uint64_t DmaSink::wake_cycle() const {
 }
 
 void DmaSink::guard_check(const Flit& flit) {
-  const bool expect_last =
-      static_cast<std::int64_t>(current_.size()) + 1 == values_per_image_;
+  const bool expect_last = words_in_image_ + 1 == values_per_image_;
   bool violated = false;
   if (flit.last != expect_last) {
     ++guard_framing_errors_;
@@ -179,6 +203,7 @@ void DmaSink::guard_check(const Flit& flit) {
 }
 
 void DmaSink::reset() {
+  words_in_image_ = 0;
   current_.clear();
   next_recv_cycle_ = 0;
   completion_cycles_.clear();

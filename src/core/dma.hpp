@@ -87,7 +87,7 @@ class DmaSource final : public dfc::df::Process {
 
   void on_clock() override;
   void reset() override;
-  bool done() const override { return buffer_.empty(); }
+  bool done() const override { return queued_words_ == 0; }
   std::uint64_t wake_cycle() const override;
   dfc::df::Ports ports() const override { return {{}, {&out_}}; }
 
@@ -95,10 +95,15 @@ class DmaSource final : public dfc::df::Process {
   /// channels interleaved — the single-port stream format).
   void enqueue(const Tensor& image);
 
+  /// Queues `images` images that carry no values, for a timing-only run
+  /// (SimContext::set_carry_values(false)): their words have the same
+  /// channel and TLAST metadata and pace exactly like real images.
+  void enqueue_blank(std::size_t images);
+
   /// True if the source has a word ready for the bus this cycle (pacing and
   /// buffered data; FIFO backpressure is resolved after the grant).
   bool wants_bus(std::uint64_t now) const {
-    return !buffer_.empty() && now >= next_send_cycle_;
+    return queued_words_ != 0 && now >= next_send_cycle_;
   }
 
   std::uint64_t images_started() const { return images_started_; }
@@ -113,8 +118,10 @@ class DmaSource final : public dfc::df::Process {
   int cycles_per_word_;
   DmaBus* bus_;
   std::uint64_t next_send_cycle_ = 0;
-  std::deque<dfc::axis::Flit> buffer_;
+  std::deque<float> values_;         ///< values of the queued words, in stream order
+  std::uint64_t queued_words_ = 0;   ///< words left to send (blank images included)
   std::int64_t words_into_image_ = 0;
+  std::int64_t word_channel_ = 0;    ///< channel of the next word: words_into_image_ mod C
   std::uint64_t images_started_ = 0;
   std::uint64_t images_sent_ = 0;
   std::vector<std::uint64_t> inject_cycles_;
@@ -142,7 +149,7 @@ class DmaSink final : public dfc::df::Process {
   /// Cycle at which image i's last output word arrived.
   const std::vector<std::uint64_t>& completion_cycles() const { return completion_cycles_; }
 
-  /// Classifier outputs per image.
+  /// Classifier outputs per image (none are stored in timing-only runs).
   const std::vector<std::vector<float>>& outputs() const { return outputs_; }
 
   /// Arms the end-of-stream guard: every received beat is checked for framing
@@ -171,6 +178,7 @@ class DmaSink final : public dfc::df::Process {
   int cycles_per_word_;
   DmaBus* bus_;
   std::uint64_t next_recv_cycle_ = 0;
+  std::int64_t words_in_image_ = 0;  ///< words received of the current image
   std::vector<float> current_;
   std::vector<std::uint64_t> completion_cycles_;
   std::vector<std::vector<float>> outputs_;

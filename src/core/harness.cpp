@@ -52,11 +52,14 @@ AcceleratorHarness::AcceleratorHarness(Accelerator acc) : acc_(std::move(acc)) {
 
 AcceleratorHarness::~AcceleratorHarness() = default;
 
+bool AcceleratorHarness::payloads_watched() const {
+  return acc_.ctx->payloads_read() || acc_.sink->stream_guard_enabled();
+}
+
 bool AcceleratorHarness::compiled_mode_legal() const {
   if (acc_.options.execution_mode != ExecutionMode::kCompiledSchedule) return false;
   const dfc::df::SimContext& ctx = *acc_.ctx;
-  return ctx.cycle_hook() == nullptr && !ctx.observing() && !ctx.paranoid() &&
-         !ctx.integrity_guards_active() && !acc_.sink->stream_guard_enabled();
+  return !payloads_watched() && !ctx.observing() && !ctx.paranoid();
 }
 
 BatchResult AcceleratorHarness::collect(std::uint64_t start_cycle,
@@ -71,27 +74,38 @@ BatchResult AcceleratorHarness::collect(std::uint64_t start_cycle,
   return r;
 }
 
-BatchResult AcceleratorHarness::run_engine(const std::vector<Tensor>& images,
+BatchResult AcceleratorHarness::run_engine(const std::vector<Tensor>* images, std::size_t n,
                                            std::uint64_t max_cycles, bool sequential) {
-  if (compiled_mode_legal()) return run_compiled(images, max_cycles, sequential);
+  if (compiled_mode_legal()) return run_compiled(images, n, max_cycles, sequential);
 
   reset();
+  // A timing-only run drops the value work unless a payload reader is
+  // attached; then it streams zero images, whose cycles are any images'.
+  const bool blank = images == nullptr && !payloads_watched();
+  acc_.ctx->set_carry_values(!blank);
+  const Tensor zero = images == nullptr && !blank ? Tensor(acc_.spec.input_shape) : Tensor();
+  auto enqueue = [&](std::size_t i) {
+    if (blank) {
+      acc_.source->enqueue_blank(1);
+    } else {
+      acc_.source->enqueue(images != nullptr ? (*images)[i] : zero);
+    }
+  };
+
   const std::uint64_t start = acc_.ctx->cycle();
   RunStatus status = RunStatus::kOk;
   std::string error;
   try {
     if (sequential) {
-      for (std::size_t n = 0; n < images.size(); ++n) {
-        acc_.source->enqueue(images[n]);
-        const std::size_t want = n + 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        enqueue(i);
+        const std::size_t want = i + 1;
         acc_.ctx->run_until([&] { return acc_.sink->images_completed() >= want; },
                             max_cycles);
       }
     } else {
-      for (const Tensor& img : images) acc_.source->enqueue(img);
-      const std::size_t want = images.size();
-      acc_.ctx->run_until([&] { return acc_.sink->images_completed() >= want; },
-                          max_cycles);
+      for (std::size_t i = 0; i < n; ++i) enqueue(i);
+      acc_.ctx->run_until([&] { return acc_.sink->images_completed() >= n; }, max_cycles);
     }
   } catch (const TimeoutError& e) {
     status = RunStatus::kTimeout;
@@ -100,8 +114,10 @@ BatchResult AcceleratorHarness::run_engine(const std::vector<Tensor>& images,
     status = RunStatus::kDeadlock;
     error = e.what();
   }
+  acc_.ctx->set_carry_values(true);
 
-  BatchResult r = collect(start, images.size());
+  BatchResult r = collect(start, n);
+  if (images == nullptr) r.outputs.clear();
   r.status = status;
   r.error = std::move(error);
   // A partial run's span is the cycles actually burnt, not the last
@@ -110,14 +126,16 @@ BatchResult AcceleratorHarness::run_engine(const std::vector<Tensor>& images,
   return r;
 }
 
-BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
+BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>* images, std::size_t n,
                                              std::uint64_t max_cycles, bool sequential) {
   auto& slot = sequential ? sequential_schedule_ : batch_schedule_;
   if (slot == nullptr) {
     slot = shared_schedule(acc_.spec, acc_.options,
                            sequential ? ScheduleMode::kSequential : ScheduleMode::kBatch);
   }
-  if (functional_ == nullptr) functional_ = shared_functional_model(acc_.spec);
+  if (functional_ == nullptr && images != nullptr) {
+    functional_ = shared_functional_model(acc_.spec);
+  }
   const CompiledSchedule& sched = *slot;
 
   // Leave the context in the same power-on state a cycle-level run starts
@@ -126,14 +144,14 @@ BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
 
   BatchResult r;
   r.start_cycle = 0;
-  r.requested = images.size();
+  r.requested = n;
 
   // Replay the schedule, applying the same cycle budget run_until enforces:
   // in batch mode one budget spans the whole run; in sequential mode each
   // image gets its own budget starting one cycle after the previous drain.
   std::uint64_t abort_cycle = 0;
-  std::size_t completed = images.size();
-  for (std::size_t i = 0; i < images.size(); ++i) {
+  std::size_t completed = n;
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t window_start = !sequential ? 0
                                        : i == 0    ? 0
                                                    : sched.completion_cycle(i - 1) + 1;
@@ -148,28 +166,38 @@ BatchResult AcceleratorHarness::run_compiled(const std::vector<Tensor>& images,
     }
   }
 
-  for (std::size_t i = 0; i < images.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (!r.ok() && sched.inject_cycle(i) >= abort_cycle) break;
     r.inject_cycles.push_back(sched.inject_cycle(i));
   }
   for (std::size_t i = 0; i < completed; ++i) {
     r.completion_cycles.push_back(sched.completion_cycle(i));
-    r.outputs.push_back(functional_->infer(images[i]));
+    if (images != nullptr) r.outputs.push_back(functional_->infer((*images)[i]));
   }
-  r.end_cycle = r.ok() ? sched.completion_cycle(images.size() - 1) : abort_cycle;
+  r.end_cycle = r.ok() ? sched.completion_cycle(n - 1) : abort_cycle;
   return r;
 }
 
 BatchResult AcceleratorHarness::run_batch(const std::vector<Tensor>& images,
                                           std::uint64_t max_cycles) {
   DFC_REQUIRE(!images.empty(), "run_batch needs at least one image");
-  return run_engine(images, max_cycles, /*sequential=*/false);
+  return run_engine(&images, images.size(), max_cycles, /*sequential=*/false);
 }
 
 BatchResult AcceleratorHarness::run_sequential(const std::vector<Tensor>& images,
                                                std::uint64_t max_cycles) {
   DFC_REQUIRE(!images.empty(), "run_sequential needs at least one image");
-  return run_engine(images, max_cycles, /*sequential=*/true);
+  return run_engine(&images, images.size(), max_cycles, /*sequential=*/true);
+}
+
+BatchResult AcceleratorHarness::run_timing(std::size_t n, std::uint64_t max_cycles) {
+  DFC_REQUIRE(n > 0, "run_timing needs at least one image");
+  return run_engine(nullptr, n, max_cycles, /*sequential=*/false);
+}
+
+BatchResult AcceleratorHarness::run_timing_sequential(std::size_t n, std::uint64_t max_cycles) {
+  DFC_REQUIRE(n > 0, "run_timing_sequential needs at least one image");
+  return run_engine(nullptr, n, max_cycles, /*sequential=*/true);
 }
 
 std::vector<float> AcceleratorHarness::run_image(const Tensor& image) {

@@ -13,6 +13,11 @@
 // compiled path falls back to the cycle engine automatically whenever the
 // context is observed or perturbed (trace, stall accounting, fault hook,
 // integrity/stream guards, paranoid mode) — see compiled_mode_legal().
+//
+// run_timing / run_timing_sequential serve callers that read only cycles
+// (service tables, replica warm-up, schedule calibration): the same engine
+// runs the same handshakes with the processes' value work switched off
+// (DESIGN.md §17), and the result carries no outputs.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +57,7 @@ struct BatchResult {
   std::vector<std::uint64_t> inject_cycles;
   std::vector<std::uint64_t> completion_cycles;
   std::vector<std::vector<float>> outputs;  ///< classifier logits per image
+                                            ///< (empty for timing-only runs)
 
   RunStatus status = RunStatus::kOk;
   std::size_t requested = 0;  ///< images the run was asked to process
@@ -60,7 +66,7 @@ struct BatchResult {
   bool ok() const { return status == RunStatus::kOk; }
   std::size_t completed() const { return completion_cycles.size(); }
 
-  std::size_t batch_size() const { return outputs.size(); }
+  std::size_t batch_size() const { return completed(); }
   std::uint64_t total_cycles() const { return end_cycle - start_cycle; }
 
   /// The paper's Fig. 6 metric: batch wall time divided by batch size.
@@ -112,6 +118,18 @@ class AcceleratorHarness {
   BatchResult run_sequential(const std::vector<Tensor>& images,
                              std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
 
+  /// Streams `n` images back to back for their timing only: the result's
+  /// inject and completion cycles, end_cycle and status are run_batch's on
+  /// any `n` images, and its outputs are empty. The cycle engine skips the
+  /// work on token values unless payloads_watched(), in which case it carries
+  /// all-zero images; a compiled-schedule harness replays its schedule.
+  BatchResult run_timing(std::size_t n,
+                         std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
+
+  /// run_sequential's timing-only counterpart, on run_timing's terms.
+  BatchResult run_timing_sequential(
+      std::size_t n, std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
+
   /// Single-image convenience returning the logits. Throws InternalError if
   /// the image does not complete (use run_batch for classifiable timeouts).
   std::vector<float> run_image(const Tensor& image);
@@ -119,11 +137,15 @@ class AcceleratorHarness {
   Accelerator& accelerator() { return acc_; }
   const NetworkSpec& spec() const { return acc_.spec; }
 
+  /// True while a feature that reads token payloads is attached: a cycle
+  /// hook (fault injection), integrity guards or the sink's stream guard.
+  /// Such a run carries values on the cycle engine, timing-only or not.
+  bool payloads_watched() const;
+
   /// True when this harness would take the compiled-schedule fast path on
   /// the next run: the design was built with
   /// ExecutionMode::kCompiledSchedule and nothing forces cycle-level
-  /// stepping (no cycle hook, no trace/stall accounting, no integrity or
-  /// stream guard, not paranoid).
+  /// stepping (no payload reader, no trace/stall accounting, not paranoid).
   bool compiled_mode_legal() const;
 
   /// Resets the whole design to its power-on state.
@@ -131,10 +153,11 @@ class AcceleratorHarness {
 
  private:
   BatchResult collect(std::uint64_t start_cycle, std::size_t requested) const;
-  BatchResult run_engine(const std::vector<Tensor>& images, std::uint64_t max_cycles,
-                         bool sequential);
-  BatchResult run_compiled(const std::vector<Tensor>& images, std::uint64_t max_cycles,
-                           bool sequential);
+  // `images` null means a timing-only run of `n` images.
+  BatchResult run_engine(const std::vector<Tensor>* images, std::size_t n,
+                         std::uint64_t max_cycles, bool sequential);
+  BatchResult run_compiled(const std::vector<Tensor>* images, std::size_t n,
+                           std::uint64_t max_cycles, bool sequential);
 
   Accelerator acc_;
   // Lazily fetched state of the fast path; absent until first used. Both are

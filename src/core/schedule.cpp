@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/builder.hpp"
+#include "core/harness.hpp"
 
 namespace dfc::core {
 
@@ -29,26 +30,18 @@ struct Calibration {
   std::vector<std::uint64_t> complete;
 };
 
-/// One cycle-accurate run of `n` images (timing is data-independent, so the
-/// images are all-zero tensors).
+/// One timing-only cycle-engine run of `n` images (timing is
+/// data-independent, so no values are carried).
 Calibration calibrate(const NetworkSpec& spec, const BuildOptions& options,
                       ScheduleMode mode, std::size_t n) {
   BuildOptions cycle_options = options;
   cycle_options.execution_mode = ExecutionMode::kCycleAccurate;
-  Accelerator acc = build_accelerator(spec, cycle_options);
-  const Tensor zero(spec.input_shape);
-
-  if (mode == ScheduleMode::kBatch) {
-    for (std::size_t i = 0; i < n; ++i) acc.source->enqueue(zero);
-    acc.ctx->run_until([&] { return acc.sink->images_completed() >= n; });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      acc.source->enqueue(zero);
-      const std::size_t want = i + 1;
-      acc.ctx->run_until([&] { return acc.sink->images_completed() >= want; });
-    }
-  }
-  return {acc.source->inject_cycles(), acc.sink->completion_cycles()};
+  AcceleratorHarness harness(build_accelerator(spec, cycle_options));
+  const BatchResult r = mode == ScheduleMode::kBatch ? harness.run_timing(n)
+                                                     : harness.run_timing_sequential(n);
+  DFC_CHECK(r.ok(), "calibration run of '" + spec.name + "' ended " +
+                        run_status_name(r.status) + ": " + r.error);
+  return {r.inject_cycles, r.completion_cycles};
 }
 
 /// Smallest image period p such that the last kMinRepeats periods of both

@@ -44,11 +44,16 @@ std::vector<Tensor> load_idx_images(std::istream& is) {
   if (magic == kMagicImages3d) c = read_be32(is);
   const std::int64_t h = read_be32(is);
   const std::int64_t w = read_be32(is);
-  DFC_REQUIRE(c >= 1 && h >= 1 && w >= 1 && c * h * w <= (1 << 24),
+  // Each bound divides by the dimensions already checked, so no product of
+  // header fields is formed before it is known to fit.
+  constexpr std::int64_t kMaxVolume = std::int64_t{1} << 24;
+  DFC_REQUIRE(c >= 1 && h >= 1 && w >= 1 && c <= kMaxVolume && h <= kMaxVolume / c &&
+                  w <= kMaxVolume / (c * h),
               "unreasonable IDX image dimensions");
 
+  // The record count is untrusted: memory grows with the records actually
+  // read, never with what the header claims.
   std::vector<Tensor> out;
-  out.reserve(n);
   const auto bytes = static_cast<std::size_t>(c * h * w);
   std::vector<unsigned char> buf(bytes);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -70,8 +75,7 @@ std::vector<std::int64_t> load_idx_labels(std::istream& is) {
               "not an IDX label vector (magic " + std::to_string(magic) + ")");
   const std::uint32_t n = read_be32(is);
   DFC_REQUIRE(n <= 10'000'000, "unreasonable IDX record count");
-  std::vector<std::int64_t> labels;
-  labels.reserve(n);
+  std::vector<std::int64_t> labels;  // grows with the stream, not the header's count
   for (std::uint32_t i = 0; i < n; ++i) {
     unsigned char b = 0;
     is.read(reinterpret_cast<char*>(&b), 1);

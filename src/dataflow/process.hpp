@@ -67,8 +67,9 @@ class Process {
 
   const std::string& name() const { return name_; }
 
-  /// Current cycle, valid once the process is registered with a context.
-  std::uint64_t now() const;
+  /// Current cycle, read through the owning context's clock (cycle 0 before
+  /// registration).
+  std::uint64_t now() const { return *clock_; }
 
  protected:
   /// Must be called after mutating process state from outside on_clock()
@@ -77,7 +78,14 @@ class Process {
   void notify_external_event() { sched_event_ = true; }
 
   friend class SimContext;
-  SimContext* ctx_ = nullptr;
+
+  // Value hookup, maintained by SimContext (set_carry_values). While false
+  // the context runs a timing-only pass: a process keeps every handshake,
+  // stall count, wake hint and token metadata field, and skips only the work
+  // on token values — arithmetic, line-buffer and tap copies, sink stores.
+  // Timing never depends on values, so the cycles are those of a
+  // value-carrying run (DESIGN.md §17).
+  bool carry_values_ = true;
 
   // Observability hookup, maintained by SimContext. While observing, the
   // context steps every process every cycle (see sim_context.hpp), so
@@ -89,7 +97,10 @@ class Process {
   std::uint32_t obs_id_ = 0;
 
  private:
+  static constexpr std::uint64_t kNoClock = 0;
+
   std::string name_;
+  const std::uint64_t* clock_ = &kNoClock;  ///< the owning context's cycle counter
 
   // Activity-aware scheduler bookkeeping, maintained by SimContext. The wake
   // cache is evaluated lazily: a busy process (event flag raised every cycle

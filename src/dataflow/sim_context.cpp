@@ -5,11 +5,6 @@
 
 namespace dfc::df {
 
-std::uint64_t Process::now() const {
-  DFC_ASSERT(ctx_ != nullptr, "Process::now before registration: " + name());
-  return ctx_->cycle();
-}
-
 void SimContext::prepare_schedule() {
   for (auto& f : fifos_) f->watchers_.clear();
   for (auto& p : processes_) {
@@ -299,6 +294,13 @@ void SimContext::attach_trace(obs::TraceSink* sink) {
 void SimContext::set_stall_accounting(bool on) {
   stall_accounting_ = on;
   sync_obs_flags();
+}
+
+void SimContext::set_carry_values(bool on) {
+  DFC_REQUIRE(on || !payloads_read(),
+              "a timing-only run cannot serve a cycle hook or integrity guards");
+  carry_values_ = on;
+  for (auto& p : processes_) p->carry_values_ = on;
 }
 
 void SimContext::attach_cycle_hook(CycleHook* hook) {

@@ -37,6 +37,11 @@
 // fast_forward, trading speed for completeness. With nothing attached the
 // only cost on the hot path is a null-pointer branch per FIFO operation,
 // keeping the disabled-mode overhead within noise.
+//
+// Timing-only mode (set_carry_values(false)) runs the same scheduler over the
+// same handshakes while the processes skip the work on token values (see
+// Process::carry_values_, DESIGN.md §17). It is for callers that read only
+// cycles, and is illegal while anything reads payloads (payloads_read()).
 #pragma once
 
 #include <cstdint>
@@ -81,11 +86,12 @@ class SimContext {
   P& add_process(Args&&... args) {
     auto owned = std::make_unique<P>(std::forward<Args>(args)...);
     P& ref = *owned;
-    ref.ctx_ = this;
+    ref.clock_ = &cycle_;
     processes_.push_back(std::move(owned));
     schedule_prepared_ = false;
     if (trace_ != nullptr) obs_register(ref);
     ref.obs_enabled_ = observing();
+    ref.carry_values_ = carry_values_;
     return ref;
   }
 
@@ -190,6 +196,19 @@ class SimContext {
   /// schedule fast path consults it and falls back to cycle-level stepping.
   bool integrity_guards_active() const { return integrity_guards_; }
 
+  /// True while a feature that reads token payloads is attached: a cycle
+  /// hook (fault injection) or the integrity guards. Such a context must
+  /// carry values, and the compiled-schedule fast path must not replace it.
+  bool payloads_read() const { return cycle_hook_ != nullptr || integrity_guards_; }
+
+  /// Turns the processes' value work on (the default) or off. Off is a
+  /// timing-only run: every cycle, handshake, FIFO statistic and token
+  /// metadata field stays as with values on, while token values, sink
+  /// outputs and core arithmetic are skipped. Throws ConfigError when
+  /// switching off while payloads_read().
+  void set_carry_values(bool on);
+  bool carry_values() const { return carry_values_; }
+
   /// Cycles stepped while observing (since construction/reset). Per-core
   /// activity buckets sum to exactly this value.
   std::uint64_t observed_cycles() const { return observed_cycles_; }
@@ -241,6 +260,7 @@ class SimContext {
   obs::TraceSink* trace_ = nullptr;     ///< non-owning; null = tracing off
   bool stall_accounting_ = false;
   bool integrity_guards_ = false;
+  bool carry_values_ = true;
   std::uint64_t observed_cycles_ = 0;
   CycleHook* cycle_hook_ = nullptr;     ///< non-owning; null = no injection
 };

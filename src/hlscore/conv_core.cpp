@@ -125,12 +125,15 @@ void ConvCore::try_emit() {
     }
   }
   const ConvLanes* values = bank(head_);
+  const bool carry = carry_values_;
   const bool last_beat = (emit_beat_ == cfg_.emit_beats() - 1);
   for (int p = 0; p < cfg_.out_ports; ++p) {
     const std::int64_t k = emit_beat_ * cfg_.out_ports + p;
     const auto ku = static_cast<std::size_t>(k);
     Flit f;
-    f.data = apply_activation(cfg_.activation, values[ku / kConvLanes][ku % kConvLanes]);
+    if (carry) {
+      f.data = apply_activation(cfg_.activation, values[ku / kConvLanes][ku % kConvLanes]);
+    }
     f.channel = static_cast<std::int32_t>(cfg_.out_channel_base + k);
     f.last = last_beat && slots_[head_].last_of_image;
     out_[static_cast<std::size_t>(p)]->push(f);
@@ -166,18 +169,40 @@ void ConvCore::try_gather() {
 
   // Pop one window per input port and read it in place into the beat's
   // input row; port p at beat g carries input channel g*IN_PORTS + p under
-  // the round-robin interleave.
+  // the round-robin interleave. A timing-only run reads just the metadata.
   const std::size_t taps = static_cast<std::size_t>(cfg_.taps());
+  const bool carry = carry_values_;
   bool last_of_image = false;
   for (int p = 0; p < cfg_.in_ports; ++p) {
     const Window& w = win_in_[static_cast<std::size_t>(p)]->pop();
     DFC_ASSERT(w.count == cfg_.taps(), "window tap count mismatch in " + name());
     DFC_ASSERT(w.slot == group_, "window slot out of order in " + name());
-    std::copy_n(w.taps.data(), taps, row_.data() + static_cast<std::size_t>(p) * taps);
+    if (carry) {
+      std::copy_n(w.taps.data(), taps, row_.data() + static_cast<std::size_t>(p) * taps);
+    }
     last_of_image |= w.last_of_image;
   }
   worked_this_cycle_ = true;
+  if (carry) accumulate_beat();
 
+  if (!completing) {
+    ++group_;
+    return;
+  }
+  group_ = 0;
+  slots_[gather_slot()] =
+      InFlight{last_of_image, now() + static_cast<std::uint64_t>(cfg_.pipeline_latency())};
+  ++in_flight_;
+  ++positions_completed_;
+  if (++position_in_image_ == cfg_.out_positions) {
+    DFC_ASSERT(last_of_image, "image boundary mismatch in " + name());
+    position_in_image_ = 0;
+  }
+}
+
+// Inlined into try_gather, its only caller, so the value path keeps the
+// code layout of one function.
+[[gnu::always_inline]] inline void ConvCore::accumulate_beat() {
   // Multiplier bank and tree adder for all OUT_FM lanes at once (Algorithm
   // 1): level 1 adds products (2i, 2i+1), an odd last product carries up,
   // and each further level pairs the previous one the same way — exactly
@@ -220,20 +245,6 @@ void ConvCore::try_gather() {
   ConvLanes* acc = bank(gather_slot());
   const ConvLanes* seed = group_ == 0 ? bias_bank_.data() : acc;
   for (std::size_t b = 0; b < blocks; ++b) acc[b] = seed[b] + s[b];
-
-  if (!completing) {
-    ++group_;
-    return;
-  }
-  group_ = 0;
-  slots_[gather_slot()] =
-      InFlight{last_of_image, now() + static_cast<std::uint64_t>(cfg_.pipeline_latency())};
-  ++in_flight_;
-  ++positions_completed_;
-  if (++position_in_image_ == cfg_.out_positions) {
-    DFC_ASSERT(last_of_image, "image boundary mismatch in " + name());
-    position_in_image_ = 0;
-  }
 }
 
 std::uint64_t ConvCore::wake_cycle() const {

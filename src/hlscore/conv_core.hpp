@@ -110,6 +110,10 @@ class ConvCore final : public dfc::df::Process {
   // Aligned to a cache line so link order cannot shift the hot loop's
   // fetch alignment between builds.
   [[gnu::aligned(64)]] void try_gather();
+  /// Multiplies the beat's input row with its weights, reduces the products
+  /// in the lane-parallel tree and accumulates them into the gathered
+  /// position's partial-sum bank (skipped in timing-only runs).
+  void accumulate_beat();
 
   /// Partial-sum bank `slot` of the in-flight ring (`blocks_` vectors).
   ConvLanes* bank(std::size_t slot) { return &banks_[slot * blocks_]; }

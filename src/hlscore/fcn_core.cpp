@@ -73,8 +73,10 @@ void FcnCore::try_emit() {
     return;
   }
   Flit f;
-  f.data = apply_activation(cfg_.activation,
-                            in_flight_.front().values[static_cast<std::size_t>(emit_index_)]);
+  if (carry_values_) {
+    f.data = apply_activation(cfg_.activation,
+                              in_flight_.front().values[static_cast<std::size_t>(emit_index_)]);
+  }
   f.channel = static_cast<std::int32_t>(emit_index_);
   f.last = (emit_index_ == cfg_.out_count - 1);
   out_.push(f);
@@ -106,6 +108,31 @@ void FcnCore::try_accumulate() {
     return;
   }
 
+  const Flit& f = in_.pop();
+  worked_this_cycle_ = true;
+  if (carry_values_) accumulate(f.data, lane);
+  lane_busy_until_[lane] = now() + static_cast<std::uint64_t>(cfg_.latency.fadd);
+
+  if (!completing) {
+    ++input_index_;
+    return;
+  }
+  input_index_ = 0;
+  InFlight slot;
+  if (carry_values_) {
+    slot.values.resize(static_cast<std::size_t>(cfg_.out_count));
+    for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
+      auto lanes = std::span<float>(&acc_[static_cast<std::size_t>(j * cfg_.num_accumulators)],
+                                    static_cast<std::size_t>(cfg_.num_accumulators));
+      slot.values[static_cast<std::size_t>(j)] = tree_reduce_inplace(lanes);
+    }
+  }
+  slot.ready_cycle = now() + static_cast<std::uint64_t>(cfg_.drain_latency());
+  in_flight_.push_back(std::move(slot));
+  ++images_completed_;
+}
+
+void FcnCore::accumulate(float x, std::size_t lane) {
   if (input_index_ == 0) {
     // Lane 0 starts from the bias; the other lanes start from zero.
     for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
@@ -115,30 +142,10 @@ void FcnCore::try_accumulate() {
       }
     }
   }
-
-  const Flit f = in_.pop();
-  worked_this_cycle_ = true;
   for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
     acc_[static_cast<std::size_t>(j * cfg_.num_accumulators) + lane] +=
-        cfg_.weight(j, input_index_) * f.data;
+        cfg_.weight(j, input_index_) * x;
   }
-  lane_busy_until_[lane] = now() + static_cast<std::uint64_t>(cfg_.latency.fadd);
-
-  if (!completing) {
-    ++input_index_;
-    return;
-  }
-  input_index_ = 0;
-  InFlight slot;
-  slot.values.resize(static_cast<std::size_t>(cfg_.out_count));
-  for (std::int64_t j = 0; j < cfg_.out_count; ++j) {
-    auto lanes = std::span<float>(&acc_[static_cast<std::size_t>(j * cfg_.num_accumulators)],
-                                  static_cast<std::size_t>(cfg_.num_accumulators));
-    slot.values[static_cast<std::size_t>(j)] = tree_reduce_inplace(lanes);
-  }
-  slot.ready_cycle = now() + static_cast<std::uint64_t>(cfg_.drain_latency());
-  in_flight_.push_back(std::move(slot));
-  ++images_completed_;
 }
 
 std::uint64_t FcnCore::wake_cycle() const {

@@ -85,6 +85,10 @@ class FcnCore final : public dfc::df::Process {
  private:
   void try_emit();
   void try_accumulate();
+  /// Adds input `x` times every output's weight into accumulator `lane`,
+  /// seeding the lanes on an image's first input (skipped in timing-only
+  /// runs).
+  void accumulate(float x, std::size_t lane);
 
   FcnCoreConfig cfg_;
   dfc::df::Fifo<dfc::axis::Flit>& in_;
@@ -99,7 +103,7 @@ class FcnCore final : public dfc::df::Process {
   // flight plus the lane-reduction tree); sized so drain latency does not
   // throttle the input stream.
   struct InFlight {
-    std::vector<float> values;
+    std::vector<float> values;  ///< empty in timing-only runs
     std::uint64_t ready_cycle = 0;
   };
   std::deque<InFlight> in_flight_;

@@ -13,6 +13,17 @@ PoolCore::PoolCore(std::string name, PoolCoreConfig config, dfc::df::Fifo<Window
   cfg_.validate();
 }
 
+float PoolCore::pool(const Window& w) const {
+  if (cfg_.mode == PoolMode::kMax) {
+    float value = w.taps[0];
+    for (std::size_t i = 1; i < w.count; ++i) value = std::max(value, w.taps[i]);
+    return value;
+  }
+  float sum = 0.0f;
+  for (std::size_t i = 0; i < w.count; ++i) sum += w.taps[i];
+  return sum / static_cast<float>(w.count);
+}
+
 void PoolCore::on_clock() {
   if (!in_.can_pop()) {
     if (obs_enabled_) activity_.tick(obs::CoreState::kIdle, now(), obs_trace_, obs_id_);
@@ -26,18 +37,8 @@ void PoolCore::on_clock() {
   const Window& w = in_.pop();
   DFC_ASSERT(w.count == cfg_.taps(), "pool window tap count mismatch in " + name());
 
-  float value;
-  if (cfg_.mode == PoolMode::kMax) {
-    value = w.taps[0];
-    for (std::size_t i = 1; i < w.count; ++i) value = std::max(value, w.taps[i]);
-  } else {
-    float sum = 0.0f;
-    for (std::size_t i = 0; i < w.count; ++i) sum += w.taps[i];
-    value = sum / static_cast<float>(w.count);
-  }
-
   Flit f;
-  f.data = value;
+  if (carry_values_) f.data = pool(w);
   f.channel = w.abs_channel;
   f.last = w.last_of_image;
   out_.push(f);

@@ -67,6 +67,9 @@ class PoolCore final : public dfc::df::Process {
   const obs::CoreActivity& activity() const { return activity_.counts(); }
 
  private:
+  /// The max or mean of the window's taps.
+  float pool(const sst::Window& w) const;
+
   PoolCoreConfig cfg_;
   dfc::df::Fifo<sst::Window>& in_;
   dfc::df::Fifo<dfc::axis::Flit>& out_;

@@ -273,12 +273,44 @@ BatchResult MultiFpgaHarness::collect(std::size_t requested) const {
   return r;
 }
 
+bool MultiFpgaHarness::payloads_watched() const {
+  for (const auto& dev : acc_.devices) {
+    if (dev.ctx->payloads_read()) return true;
+  }
+  return acc_.sink->stream_guard_enabled();
+}
+
+void MultiFpgaHarness::set_carry_values(bool on) {
+  for (auto& dev : acc_.devices) dev.ctx->set_carry_values(on);
+}
+
 BatchResult MultiFpgaHarness::run_batch(const std::vector<Tensor>& images,
                                         std::uint64_t max_cycles) {
   DFC_REQUIRE(!images.empty(), "run_batch needs at least one image");
+  return run(&images, images.size(), max_cycles);
+}
+
+BatchResult MultiFpgaHarness::run_timing(std::size_t n, std::uint64_t max_cycles) {
+  DFC_REQUIRE(n > 0, "run_timing needs at least one image");
+  return run(nullptr, n, max_cycles);
+}
+
+BatchResult MultiFpgaHarness::run(const std::vector<Tensor>* images, std::size_t n,
+                                  std::uint64_t max_cycles) {
   reset();
-  for (const Tensor& img : images) acc_.source->enqueue(img);
-  const std::size_t want = images.size();
+  // As in AcceleratorHarness::run_engine: a timing-only run drops the value
+  // work unless a payload reader is attached, and then streams zero images.
+  const bool blank = images == nullptr && !payloads_watched();
+  set_carry_values(!blank);
+  if (blank) {
+    acc_.source->enqueue_blank(n);
+  } else if (images == nullptr) {
+    const Tensor zero(acc_.spec.input_shape);
+    for (std::size_t i = 0; i < n; ++i) acc_.source->enqueue(zero);
+  } else {
+    for (const Tensor& img : *images) acc_.source->enqueue(img);
+  }
+  const std::size_t want = n;
 
   RunStatus status = RunStatus::kOk;
   std::string error;
@@ -354,7 +386,10 @@ BatchResult MultiFpgaHarness::run_batch(const std::vector<Tensor>& images,
     }
   }
 
-  BatchResult r = collect(images.size());
+  set_carry_values(true);
+
+  BatchResult r = collect(n);
+  if (images == nullptr) r.outputs.clear();
   r.status = status;
   r.error = std::move(error);
   if (!r.ok()) r.end_cycle = acc_.devices.front().ctx->cycle();

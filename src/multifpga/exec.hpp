@@ -96,8 +96,19 @@ class MultiFpgaHarness {
       const std::vector<Tensor>& images,
       std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
 
+  /// Streams `n` images for their timing only, on AcceleratorHarness::
+  /// run_timing's terms: cycles, status and link traffic of run_batch on any
+  /// `n` images, no outputs, and the value work skipped on every board
+  /// unless payloads_watched() (then all-zero images are carried).
+  dfc::core::BatchResult run_timing(
+      std::size_t n, std::uint64_t max_cycles = dfc::df::SimContext::kDefaultMaxCycles);
+
   /// Single-image convenience returning the logits; throws if incomplete.
   std::vector<float> run_image(const Tensor& image);
+
+  /// True while any board has a payload reader attached (a cycle hook or
+  /// integrity guards) or the sink's stream guard is armed.
+  bool payloads_watched() const;
 
   MultiFpgaAccelerator& accelerator() { return acc_; }
   const dfc::core::NetworkSpec& spec() const { return acc_.spec; }
@@ -157,6 +168,10 @@ class MultiFpgaHarness {
 
  private:
   dfc::core::BatchResult collect(std::size_t requested) const;
+  // `images` null means a timing-only run of `n` images.
+  dfc::core::BatchResult run(const std::vector<Tensor>* images, std::size_t n,
+                             std::uint64_t max_cycles);
+  void set_carry_values(bool on);
   void classify_links(std::uint64_t now);
 
   MultiFpgaAccelerator acc_;

@@ -3,27 +3,9 @@
 #include <algorithm>
 #include <string>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 
 namespace dfc::serve {
-
-namespace {
-// Random images for timing measurements. The design's cycle counts are
-// data-independent, so any deterministic content works; seeded generation
-// keeps warm() reproducible byte for byte.
-std::vector<Tensor> timing_images(const dfc::core::NetworkSpec& spec, std::size_t count) {
-  Rng rng(7);
-  std::vector<Tensor> images;
-  images.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Tensor t(spec.input_shape);
-    for (float& v : t.flat()) v = rng.uniform(-1.0f, 1.0f);
-    images.push_back(std::move(t));
-  }
-  return images;
-}
-}  // namespace
 
 ReplicaPool::ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replicas,
                          const dfc::core::BuildOptions& options)
@@ -37,8 +19,7 @@ ReplicaPool::ReplicaPool(const dfc::core::NetworkSpec& spec, std::size_t replica
 }
 
 std::uint64_t ReplicaPool::measure(std::size_t replica, std::size_t n) {
-  const auto images = timing_images(spec_, n);
-  return harnesses_[replica]->run_batch(images).total_cycles();
+  return harnesses_[replica]->run_timing(n).total_cycles();
 }
 
 std::uint64_t ReplicaPool::service_cycles(std::size_t n) {
@@ -96,8 +77,9 @@ void ReplicaPool::execute(const std::vector<BatchRecord>& batch_records,
         batch_images.push_back(images.at(request_image_index.at(id)));
       }
       const dfc::core::BatchResult res = harnesses_[r]->run_batch(batch_images);
-      // The plan was laid out from the memoized service table; a mismatch
-      // here means the simulation is not reproducible — fail loudly.
+      // The plan was laid out from the memoized timing-only service table; a
+      // mismatch here means the simulation is not reproducible or the
+      // timing-only and value-carrying runs disagree — fail loudly.
       DFC_CHECK(res.total_cycles() == rec.service_cycles(),
                 "replica " + std::to_string(r) + " batch " + std::to_string(rec.id) +
                     " took " + std::to_string(res.total_cycles()) + " cycles, planned " +

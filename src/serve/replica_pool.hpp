@@ -8,12 +8,15 @@
 // reproducible while still running the heavy cycle-level simulations on
 // worker threads (common/thread_pool):
 //   * warm() measures service_cycles(1..max_batch) by fanning the batch
-//     sizes out across the replica harnesses, one worker per replica;
+//     sizes out across the replica harnesses, one worker per replica. A
+//     measurement reads only cycles, so it is a timing-only run
+//     (AcceleratorHarness::run_timing): no images, no value work;
 //   * the serve event loop then consumes the memoized table, so the
 //     simulated timeline never depends on host scheduling;
-//   * execute() replays a planned timeline to produce real logits, replicas
-//     in parallel, and cross-checks that every batch's measured cycles
-//     match the plan — a built-in determinism audit.
+//   * execute() replays a planned timeline with real images to produce
+//     logits, replicas in parallel, and cross-checks that every batch's
+//     value-carrying cycles match the timing-only plan — a built-in audit of
+//     both determinism and the two run modes' agreement.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,7 @@ class ReplicaPool {
   const dfc::core::NetworkSpec& spec() const { return spec_; }
 
   /// Cycles a replica needs to run a back-to-back batch of `n` images,
-  /// memoized (first call per size simulates on replica 0).
+  /// memoized (first call per size runs a timing-only batch on replica 0).
   std::uint64_t service_cycles(std::size_t n);
 
   /// Pre-measures batch sizes 1..max_batch across the replica harnesses on

@@ -63,6 +63,7 @@ void WindowBuffer::build_window(Window& w) const {
   w.ox = static_cast<std::int32_t>(emit_ox_);
   w.last_of_image = (emit_oy_ == geom_.last_origin_y()) && (emit_ox_ == geom_.last_origin_x()) &&
                     (emit_slot_ == geom_.channels - 1);
+  if (!carry_values_) return;  // a timing-only run never reads the taps
   const int kw = geom_.kw;
   const bool cols_in_map = emit_ox_ >= 0 && emit_ox_ + kw <= geom_.in_w;
   float* out = w.taps.data();
@@ -119,9 +120,11 @@ void WindowBuffer::try_consume() {
     return;
   }
 
-  const Flit flit = in_.pop();
-  const std::int64_t row_slot = cur_slot_ * geom_.kh + (cur_y_ % geom_.kh);
-  rows_[static_cast<std::size_t>(row_slot * geom_.in_w + cur_x_)] = flit.data;
+  const Flit& flit = in_.pop();
+  if (carry_values_) {
+    const std::int64_t row_slot = cur_slot_ * geom_.kh + (cur_y_ % geom_.kh);
+    rows_[static_cast<std::size_t>(row_slot * geom_.in_w + cur_x_)] = flit.data;
+  }
   abs_channel_[static_cast<std::size_t>(cur_slot_)] = flit.channel;
   ++elements_in_image_;
 

@@ -1,10 +1,11 @@
-// Tests for the synthetic dataset generators.
+// Tests for the synthetic dataset generators and the IDX reader.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "common/rng.hpp"
 #include "data/idx_loader.hpp"
 #include "data/synthetic.hpp"
 
@@ -217,6 +218,84 @@ TEST(IdxLoaderTest, CountMismatchRejected) {
   }
   EXPECT_THROW(load_idx_dataset("/tmp/dfcnn_idx_imgs2.bin", "/tmp/dfcnn_idx_lbls2.bin"),
                ConfigError);
+}
+
+TEST(IdxLoaderTest, OversizedDimensionsAreRejectedWithoutOverflow) {
+  // Three header dimensions of 2^31 multiply past int64; the check must
+  // reject them without forming the product (UBSan flags the overflow).
+  std::stringstream s;
+  for (const std::uint32_t word : {0x00000804u, 1u, 1u << 31, 1u << 31, 1u << 31}) {
+    const char be[4] = {static_cast<char>(word >> 24), static_cast<char>(word >> 16),
+                        static_cast<char>(word >> 8), static_cast<char>(word)};
+    s.write(be, 4);
+  }
+  EXPECT_THROW(load_idx_images(s), ConfigError);
+}
+
+/// Seeded mutants of a saved IDX stream: byte flips (header bytes or
+/// anywhere), truncations, and overwrites of one big-endian header word
+/// (magic, count, dimensions) with edge values. Every mutant must load or
+/// throw ConfigError — never abort, overflow or allocate for records the
+/// stream does not hold.
+template <typename Load>
+void mutate_and_load(const std::string& saved, std::size_t header_words, Load load,
+                     dfc::Rng& rng, const std::string& name) {
+  constexpr int kMutantsPerKind = 300;
+  int loaded = 0;
+  const auto check = [&](const std::string& mutant, const std::string& what) {
+    std::stringstream in(mutant);
+    try {
+      load(in);
+      ++loaded;
+    } catch (const ConfigError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << ", " << what << ": " << e.what();
+    }
+  };
+  const std::size_t header_bytes = 4 * header_words;
+  for (int i = 0; i < kMutantsPerKind; ++i) {
+    std::string m = saved;
+    const auto flips = 1 + rng.next_below(4);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const std::size_t at =
+          rng.next_below(2) == 0 ? rng.next_below(header_bytes) : rng.next_below(m.size());
+      m[at] = static_cast<char>(m[at] ^ static_cast<char>(1 + rng.next_below(255)));
+    }
+    check(m, "flips #" + std::to_string(i));
+  }
+  for (int i = 0; i < kMutantsPerKind; ++i) {
+    check(saved.substr(0, rng.next_below(saved.size())), "truncation #" + std::to_string(i));
+  }
+  for (int i = 0; i < kMutantsPerKind; ++i) {
+    std::string m = saved;
+    const std::size_t at = 4 * rng.next_below(header_words);
+    std::uint32_t value = 0;
+    for (int b = 0; b < 4; ++b) value = value << 8 | static_cast<unsigned char>(m[at + b]);
+    const std::uint32_t choices[] = {0,        1,        value - 1,      value + 1,
+                                     1u << 12, 1u << 24, (1u << 24) + 1, 10'000'000,
+                                     1u << 31, ~0u,      static_cast<std::uint32_t>(rng.next_u64())};
+    value = choices[rng.next_below(std::size(choices))];
+    for (int b = 0; b < 4; ++b) m[at + b] = static_cast<char>(value >> (24 - 8 * b));
+    check(m, "header word at " + std::to_string(at) + " = " + std::to_string(value));
+  }
+  EXPECT_GT(loaded, 0) << name << ": no mutant loaded";
+}
+
+TEST(IdxMutationTest, MutatedStreamsLoadOrFailCleanly) {
+  dfc::Rng rng(0x1d0'19);
+  const auto load_images = [](std::istream& is) { load_idx_images(is); };
+  const auto load_labels = [](std::istream& is) { load_idx_labels(is); };
+
+  const Dataset gray = make_usps_like(6);
+  const Dataset rgb = make_cifar_like(3);
+  std::stringstream gray_images, rgb_images, labels;
+  save_idx_images(gray.images, gray_images);
+  save_idx_images(rgb.images, rgb_images);
+  save_idx_labels(gray.labels, labels);
+  // Header words: magic, count, [channels,] rows, cols; labels: magic, count.
+  mutate_and_load(gray_images.str(), 4, load_images, rng, "grayscale images");
+  mutate_and_load(rgb_images.str(), 5, load_images, rng, "RGB images");
+  mutate_and_load(labels.str(), 2, load_labels, rng, "labels");
 }
 
 TEST(DatasetTest, SplitsAreDisjointSamples) {

@@ -226,6 +226,13 @@ int cmd_dot(const core::NetworkSpec& spec, std::size_t batch) {
   return 0;
 }
 
+/// The serial link a --link-gbps rate gives: one 32-bit word per cycle at
+/// the paper's 100 MHz clock is 3.2 Gbps, and a slower link serializes each
+/// word over proportionally more cycles. `gbps` is positive (parse_link_gbps).
+core::LinkModel link_model(double gbps) {
+  return core::LinkModel{40, std::max(1, static_cast<int>(3.2 / gbps + 0.5))};
+}
+
 void write_trace_file(const obs::TraceSink& sink, const std::string& out_path) {
   std::ofstream out(out_path, std::ios::binary);
   DFC_REQUIRE(out.good(), "cannot open '" + out_path + "' for writing");
@@ -252,9 +259,7 @@ int cmd_trace(const core::NetworkSpec& spec, std::size_t batch, const std::strin
 
 int cmd_trace_multi(const core::NetworkSpec& spec, std::size_t batch, std::size_t devices,
                     double link_gbps, const std::string& out_path) {
-  DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
-  const int cycles_per_word = std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
-  const core::LinkModel link{40, cycles_per_word};
+  const core::LinkModel link = link_model(link_gbps);
   const auto plan = mfpga::partition_network_exact(spec, devices, link);
   core::BuildOptions opts;
   opts.link = link;
@@ -378,6 +383,16 @@ std::size_t parse_count(const char* flag, const char* text,
   const auto value = parse_flag_value<std::size_t>(flag, text, max);
   if (value == 0) throw UsageError(std::string(flag) + " must be at least 1, got '0'");
   return value;
+}
+
+/// parse_flag_value for --link-gbps, which must be positive: a zero rate
+/// has no serializer speed.
+double parse_link_gbps(const char* text) {
+  const double gbps = parse_flag_value<double>("--link-gbps", text);
+  if (gbps <= 0.0) {
+    throw UsageError(std::string("--link-gbps must be positive, got '") + text + "'");
+  }
+  return gbps;
 }
 
 cluster::RoutePolicy parse_policy(const std::string& name) {
@@ -520,12 +535,7 @@ int cmd_partition(const core::NetworkSpec& spec, std::size_t boards,
 
 int cmd_multifpga(const core::NetworkSpec& spec, std::size_t devices, double link_gbps,
                   std::size_t batch) {
-  DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
-  // One 32-bit word per cycle at the paper's 100 MHz clock is 3.2 Gbps; a
-  // slower link serializes each word over proportionally more cycles.
-  const int cycles_per_word =
-      std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
-  const core::LinkModel link{40, cycles_per_word};
+  const core::LinkModel link = link_model(link_gbps);
 
   const auto plan = mfpga::partition_network_exact(spec, devices, link);
   std::printf("%s", plan.describe(spec).c_str());
@@ -564,9 +574,7 @@ int cmd_multifpga(const core::NetworkSpec& spec, std::size_t devices, double lin
 
 int cmd_check(const core::NetworkSpec& spec, std::size_t devices, double link_gbps,
               int credits, bool json, const std::string& device_name) {
-  DFC_REQUIRE(link_gbps > 0.0, "--link-gbps must be positive");
-  const int cycles_per_word = std::max(1, static_cast<int>(3.2 / link_gbps + 0.5));
-  const core::LinkModel link{40, cycles_per_word};
+  const core::LinkModel link = link_model(link_gbps);
 
   verify::VerifyOptions vopts;
   vopts.device = load_device(device_name);
@@ -626,7 +634,7 @@ int main(int argc, char** argv) {
         } else if (value_flag(argc, argv, i, "--devices")) {
           devices = parse_count("--devices", argv[++i]);
         } else if (value_flag(argc, argv, i, "--link-gbps")) {
-          link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
+          link_gbps = parse_link_gbps(argv[++i]);
         } else {
           batch = parse_flag_value<std::size_t>("batch", positional_arg(argv[i]));
         }
@@ -742,7 +750,7 @@ int main(int argc, char** argv) {
         if (value_flag(argc, argv, i, "--devices")) {
           devices = parse_count("--devices", argv[++i]);
         } else if (value_flag(argc, argv, i, "--link-gbps")) {
-          link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
+          link_gbps = parse_link_gbps(argv[++i]);
         } else if (value_flag(argc, argv, i, "--batch")) {
           batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else {
@@ -760,7 +768,7 @@ int main(int argc, char** argv) {
         } else if (value_flag(argc, argv, i, "--batch")) {
           options.batch = parse_flag_value<std::size_t>("--batch", argv[++i]);
         } else if (value_flag(argc, argv, i, "--link-gbps")) {
-          options.link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
+          options.link_gbps = parse_link_gbps(argv[++i]);
         } else if (value_flag(argc, argv, i, "--out")) {
           out_path = argv[++i];
         } else {
@@ -779,7 +787,7 @@ int main(int argc, char** argv) {
         if (value_flag(argc, argv, i, "--devices")) {
           devices = parse_count("--devices", argv[++i]);
         } else if (value_flag(argc, argv, i, "--link-gbps")) {
-          link_gbps = parse_flag_value<double>("--link-gbps", argv[++i]);
+          link_gbps = parse_link_gbps(argv[++i]);
         } else if (value_flag(argc, argv, i, "--credits")) {
           credits = parse_flag_value<int>("--credits", argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0) {
@@ -800,7 +808,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const dfc::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.message());
     return 1;
   }
   return usage();

@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const dfc::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+    std::fprintf(stderr, "error: %s\n", e.message());
     return 3;
   }
   return usage();
